@@ -1,15 +1,27 @@
 let code_intra q kind samples =
-  let centred = Array.map (fun s -> s -. 128.) samples in
+  let centred = Array.create_float 64 in
+  for i = 0 to 63 do
+    centred.(i) <- samples.(i) -. 128.
+  done;
   Quant.quantise q kind (Dct.forward centred)
 
 let reconstruct_intra q kind levels =
   let spatial = Dct.inverse (Quant.dequantise q kind levels) in
-  Array.map (fun s -> s +. 128.) spatial
+  for i = 0 to 63 do
+    spatial.(i) <- spatial.(i) +. 128.
+  done;
+  spatial
 
 let code_inter q kind ~samples ~prediction =
-  let residual = Array.init 64 (fun i -> samples.(i) -. prediction.(i)) in
+  let residual = Array.create_float 64 in
+  for i = 0 to 63 do
+    residual.(i) <- samples.(i) -. prediction.(i)
+  done;
   Quant.quantise q kind (Dct.forward residual)
 
 let reconstruct_inter q kind ~prediction levels =
   let residual = Dct.inverse (Quant.dequantise q kind levels) in
-  Array.init 64 (fun i -> prediction.(i) +. residual.(i))
+  for i = 0 to 63 do
+    residual.(i) <- prediction.(i) +. residual.(i)
+  done;
+  residual

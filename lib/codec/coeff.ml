@@ -1,25 +1,29 @@
-let nonzero_pairs zz =
-  (* (run-of-zeros-before, level) for each non-zero coefficient. *)
-  let pairs = ref [] in
-  let run = ref 0 in
-  for k = 0 to 63 do
-    if zz.(k) = 0 then incr run
-    else begin
-      pairs := (!run, zz.(k)) :: !pairs;
-      run := 0
-    end
+(* Both the writer and the bit counter walk the 64 levels in zig-zag
+   order, emitting or counting (zero-run, level) pairs as they go. *)
+
+let check levels =
+  if Array.length levels <> 64 then invalid_arg "Zigzag: need 64 levels"
+
+let nonzero_count levels =
+  let count = ref 0 in
+  for i = 0 to 63 do
+    if levels.(i) <> 0 then incr count
   done;
-  List.rev !pairs
+  !count
 
 let write_block w levels =
-  let zz = Zigzag.forward levels in
-  let pairs = nonzero_pairs zz in
-  Golomb.write_ue w (List.length pairs);
-  List.iter
-    (fun (run, level) ->
-      Golomb.write_ue w run;
-      Golomb.write_se w level)
-    pairs
+  check levels;
+  Golomb.write_ue w (nonzero_count levels);
+  let run = ref 0 in
+  for k = 0 to 63 do
+    let level = levels.(Zigzag.scan_order.(k)) in
+    if level = 0 then incr run
+    else begin
+      Golomb.write_ue w !run;
+      Golomb.write_se w level;
+      run := 0
+    end
+  done
 
 let read_block r =
   let nnz = Golomb.read_ue r in
@@ -38,11 +42,17 @@ let read_block r =
   Zigzag.inverse zz
 
 let bit_cost levels =
-  let zz = Zigzag.forward levels in
-  let pairs = nonzero_pairs zz in
-  List.fold_left
-    (fun acc (run, level) ->
-      let z = if level > 0 then (2 * level) - 1 else -2 * level in
-      acc + Golomb.ue_bit_length run + Golomb.ue_bit_length z)
-    (Golomb.ue_bit_length (List.length pairs))
-    pairs
+  check levels;
+  let nnz = ref 0 and bits = ref 0 and run = ref 0 in
+  for k = 0 to 63 do
+    let level = levels.(Zigzag.scan_order.(k)) in
+    if level = 0 then incr run
+    else begin
+      incr nnz;
+      bits :=
+        !bits + Golomb.ue_bit_length !run
+        + Golomb.se_bit_length level;
+      run := 0
+    end
+  done;
+  Golomb.ue_bit_length !nnz + !bits

@@ -30,3 +30,5 @@ let read_se r = int_of_zigzag (read_ue r)
 let ue_bit_length n =
   let v = n + 1 in
   (2 * bit_width v) - 1
+
+let se_bit_length n = ue_bit_length (zigzag_of_int n)

@@ -17,3 +17,6 @@ val read_se : Bitio.Reader.t -> int
 val ue_bit_length : int -> int
 (** [ue_bit_length n] is the number of bits [write_ue] emits for [n] —
     used by the encoder's rate estimation. *)
+
+val se_bit_length : int -> int
+(** [se_bit_length n] is the number of bits [write_se] emits for [n]. *)

@@ -8,6 +8,7 @@ let create ~width ~height =
 let width img = img.width
 let height img = img.height
 let pixel_count img = img.width * img.height
+let data img = img.data
 
 let in_bounds img ~x ~y = x >= 0 && x < img.width && y >= 0 && y < img.height
 

@@ -22,6 +22,12 @@ val height : t -> int
 val pixel_count : t -> int
 (** [pixel_count img] is [width img * height img]. *)
 
+val data : t -> Bytes.t
+(** [data img] is the backing buffer itself, not a copy: byte
+    [3 * (y * width + x) + c] holds channel [c] (0 red, 1 green,
+    2 blue) of pixel [(x, y)]. Writes to it change [img]. For bulk
+    converters that would otherwise build a {!Pixel.t} per pixel. *)
+
 val get : t -> x:int -> y:int -> Pixel.t
 (** [get img ~x ~y] reads a pixel. Raises [Invalid_argument] when out of
     bounds. *)
