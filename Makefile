@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test check bench clean slo-smoke fleet-smoke chaos chaos-ladder lint verify-fixtures gate baseline
+.PHONY: all build test check bench bench-smoke clean slo-smoke fleet-smoke chaos chaos-ladder lint verify-fixtures gate baseline
 
 all: build
 
@@ -14,14 +14,15 @@ test:
 # sequentially, once with a 4-domain pool — PAR_JOBS feeds the CLIs'
 # --jobs default, and the parallel suites pick it up too), the
 # sources pass the determinism linter, the shipped artifacts verify
-# cleanly, a monitored playback run meets the default SLOs, and the
-# CLIs survive hostile fault profiles.
+# cleanly, a monitored playback run meets the default SLOs, the
+# CLIs survive hostile fault profiles, and every benchmark workload
+# runs with its output checks passing.
 check:
 	dune build && dune runtest && PAR_JOBS=4 dune runtest --force \
 	  && $(MAKE) lint && $(MAKE) verify-fixtures \
 	  && $(MAKE) slo-smoke && $(MAKE) fleet-smoke \
 	  && $(MAKE) chaos && $(MAKE) chaos-ladder \
-	  && $(MAKE) gate
+	  && $(MAKE) gate && $(MAKE) bench-smoke
 
 # Static gate 1: the determinism linter over the library and tool
 # sources (rules L001-L012 plus the transitive effect closure, see
@@ -105,6 +106,19 @@ chaos-ladder:
 
 bench:
 	dune exec bench/main.exe
+
+# Benchmark smoke: each perfbench workload runs a one-second window,
+# and cold_catalog runs once more with per-layer tracing. Every run
+# must exit 0, so the driver's output checks (traced equals untraced,
+# byte-identical fleet journals, replayed sessions end as journaled)
+# gate the build. The timings themselves are not compared.
+bench-smoke:
+	for w in cold_catalog fleet_clean fleet_lossy; do \
+	  python3 perfbench/run.py --workload $$w --seconds 1 --trace 0 \
+	    > /dev/null || exit 1; \
+	done
+	python3 perfbench/run.py --workload cold_catalog --seconds 1 --trace 1 \
+	  > /dev/null
 
 # Energy + resilience + fleet regression gate: the committed baseline
 # must reproduce within tolerance (the energy rows, the chaos-ladder
