@@ -34,4 +34,20 @@ val negotiate :
     (the server pre-computes only the advertised grid, "same for all
     types of PDA clients"). Defaults to server-side mapping. *)
 
+val annotate :
+  scene_params:Annotation.Scene_detect.params ->
+  session ->
+  Annotation.Annotator.profiled ->
+  Annotation.Track.t
+(** The server's half of the mapping-site rule: with [Server_side]
+    the track carries final registers for the session's device
+    ({!Annotation.Annotator.annotate_profiled}); with [Client_side] it
+    carries device-neutral luminance factors
+    ({!Annotation.Neutral.annotate}). *)
+
+val client_track : session -> Annotation.Track.t -> Annotation.Track.t
+(** The client's half: a [Client_side] track is mapped to the
+    session's device registers ({!Annotation.Neutral.map_to_device});
+    a [Server_side] track is already final and returned as is. *)
+
 val pp_session : Format.formatter -> session -> unit

@@ -26,7 +26,6 @@ type prepared = {
   session : Negotiation.session;
   track : Annotation.Track.t;
   annotation_bytes : string;
-  compensated : Video.Clip.t;
 }
 
 type t = {
@@ -108,26 +107,12 @@ let cache_stats t = with_lock t.cache_lock (fun () -> (t.hits, t.misses))
 
 let cache_size t = with_lock t.cache_lock (fun () -> Hashtbl.length t.cache)
 
-let build ?scene_params ?pool stored ~session =
-  let profiled = profile_stored ?pool stored in
+let build ?(scene_params = Annotation.Scene_detect.default_params) ?pool stored
+    ~session =
   let track =
-    match session.Negotiation.mapping with
-    | Negotiation.Server_side ->
-      Annotation.Annotator.annotate_profiled ?scene_params
-        ~device:session.Negotiation.device
-        ~quality:session.Negotiation.quality profiled
-    | Negotiation.Client_side ->
-      (* Device-neutral: the client maps gains to registers with
-         Annotation.Neutral.map_to_device after decoding. *)
-      Annotation.Neutral.annotate ?scene_params
-        ~quality:session.Negotiation.quality profiled
+    Negotiation.annotate ~scene_params session (profile_stored ?pool stored)
   in
-  {
-    session;
-    track;
-    annotation_bytes = Annotation.Encoding.encode track;
-    compensated = Annotation.Compensate.clip stored.clip track;
-  }
+  { session; track; annotation_bytes = Annotation.Encoding.encode track }
 
 (* Shed fallback: a passthrough stream — original clip, single
    full-backlight entry covering every frame — that costs nothing to
@@ -156,12 +141,7 @@ let passthrough stored ~session =
       ~quality:session.Negotiation.quality ~fps:clip.Video.Clip.fps
       ~total_frames:frames entries
   in
-  {
-    session;
-    track;
-    annotation_bytes = Annotation.Encoding.encode track;
-    compensated = clip;
-  }
+  { session; track; annotation_bytes = Annotation.Encoding.encode track }
 
 let prepare ?scene_params ?pool ?bulkhead t ~name ~session =
   Result.map

@@ -1,10 +1,12 @@
 (** The media server / proxy node.
 
-    Stores clips, profiles them once, and serves annotated (and
-    optionally pre-compensated) streams per session. "The annotations
-    can be generated and added to the video stream at either the server
-    or proxy node, with no changes for the client" (§3) — the proxy
-    case is the same code path invoked on a live clip.
+    Stores clips, profiles them once, and serves annotation tracks per
+    session. "The annotations can be generated and added to the video
+    stream at either the server or proxy node, with no changes for the
+    client" (§3) — both run this one path: profile, annotate for the
+    negotiated mapping site ({!Negotiation.annotate}), encode the
+    track. A proxy annotating live content bounds its lookahead with
+    {!Annotation.Live} instead.
 
     The server is safe to drive from several pool domains at once:
     the catalog, each clip's cached profile, and the prepared-stream
@@ -18,9 +20,6 @@ type prepared = {
   session : Negotiation.session;
   track : Annotation.Track.t;
   annotation_bytes : string;  (** encoded annotation side-channel *)
-  compensated : Video.Clip.t;
-      (** the stream the client will display: frames pre-brightened
-          according to the track *)
 }
 
 val create : unit -> t
@@ -48,8 +47,9 @@ val prepare :
   session:Negotiation.session ->
   (prepared, string) result
 (** [prepare server ~name ~session] profiles (cached), annotates for
-    the session's quality, encodes the annotation track and builds the
-    compensated stream. With [Server_side] mapping the track carries
+    the session's quality and encodes the annotation track; the client
+    compensates its frames from the track
+    ({!Annotation.Compensate.clip}). With [Server_side] mapping the track carries
     final registers for the session's device; with [Client_side] it is
     device-neutral (§4.3) and the client finishes it with
     {!Annotation.Neutral.map_to_device}. Unknown names yield [Error].
@@ -65,8 +65,8 @@ val prepare :
     [bulkhead] puts the expensive annotation build inside a
     {!Resilience.Bulkhead} compartment: cache hits are always served,
     but a build the compartment sheds returns a passthrough stream
-    instead — the original clip with a single full-backlight entry —
-    which is never cached, so a later admitted prepare still builds
+    instead — a single full-backlight entry, so the client shows the
+    original frames — which is never cached, so a later admitted prepare still builds
     the real thing. *)
 
 val prepare_many :

@@ -130,67 +130,96 @@ let obs_degraded_scenes =
 
 let span = Obs.Trace.with_span
 
-(* Rebuild a full annotation track from a partial decode: every
-   surviving record keeps its scene, every gap is filled with a safe
-   level. Full backlight (register 255, no compensation) risks no
-   quality; when the policy allows it and both intact neighbours of a
-   gap agree on their level, the gap is clamped to that level instead —
-   scene boundaries rarely move, so agreeing neighbours usually bracket
-   a scene that looked like them. Returns the patched track and the
-   number of degraded scenes (records lost or corrupt). *)
-let patch_partial policy (p : Annotation.Encoding.partial) =
-  let intact =
-    Array.to_list p.entries |> List.filter_map (fun e -> e)
-  in
-  let degraded =
-    Array.length p.entries - List.length intact
-  in
+(* The one gap-fill walk behind both patchers. Every intact record
+   keeps its scene; each run of missing records takes its entry from
+   [stale] (a layout-aligned earlier track) when one is given, and is
+   otherwise filled as one entry up to the next intact record: clamped
+   to the level of the two intact neighbours when [clamp] is on and
+   they agree on register and effective maximum — scene boundaries
+   rarely move, so agreeing neighbours usually bracket a scene that
+   looked like them — and at full backlight (register 255, no
+   compensation; never dim on a guessed annotation) otherwise. [note]
+   hears, per record, the rung it resolved at. Returns the patched
+   track and the number of degraded (lost or corrupt) records. *)
+let fill_gaps ~clamp ~stale ~note (p : Annotation.Encoding.partial) =
+  let module D = Resilience.Degrade in
   let out = ref [] in
   let pos = ref 0 in
   let prev = ref None in
-  let filler ~first ~count ~next_entry =
-    match (policy, !prev, next_entry) with
-    | ( Neighbour_clamp,
-        Some (a : Annotation.Track.entry),
-        Some (b : Annotation.Track.entry) )
-      when a.register = b.register && a.effective_max = b.effective_max ->
-      {
-        Annotation.Track.first_frame = first;
-        frame_count = count;
-        register = a.register;
-        compensation = Float.max a.compensation b.compensation;
-        effective_max = a.effective_max;
-      }
-    | _ ->
-      (* Quality-safe default: never dim on a guessed annotation. *)
-      {
-        Annotation.Track.first_frame = first;
-        frame_count = count;
-        register = 255;
-        compensation = 1.;
-        effective_max = 255;
-      }
+  let degraded = ref 0 in
+  let last_fill = ref D.Full_backlight in
+  let n = Array.length p.entries in
+  let rec next_intact j =
+    if j >= n then None
+    else match p.entries.(j) with Some e -> Some e | None -> next_intact (j + 1)
   in
-  let fill_gap until next_entry =
-    if until > !pos then begin
-      out := filler ~first:!pos ~count:(until - !pos) ~next_entry :: !out;
-      pos := until
-    end
+  (* Fill frames [!pos, until) with one entry; returns its rung. *)
+  let fill until (next : Annotation.Track.entry option) =
+    let step, register, compensation, effective_max =
+      match (!prev, next) with
+      | Some (a : Annotation.Track.entry), Some b
+        when clamp && a.register = b.register
+             && a.effective_max = b.effective_max ->
+        ( D.Neighbour_clamp,
+          a.register,
+          Float.max a.compensation b.compensation,
+          a.effective_max )
+      | _ -> (D.Full_backlight, 255, 1., 255)
+    in
+    out :=
+      {
+        Annotation.Track.first_frame = !pos;
+        frame_count = until - !pos;
+        register;
+        compensation;
+        effective_max;
+      }
+      :: !out;
+    pos := until;
+    step
   in
-  List.iter
-    (fun (e : Annotation.Track.entry) ->
-      fill_gap e.first_frame (Some e);
-      out := e :: !out;
-      pos := e.first_frame + e.frame_count;
-      prev := Some e)
-    intact;
-  fill_gap p.total_frames None;
+  let emit (e : Annotation.Track.entry) =
+    out := e :: !out;
+    pos := e.first_frame + e.frame_count;
+    prev := Some e
+  in
+  Array.iteri
+    (fun i entry ->
+      match entry with
+      | Some (e : Annotation.Track.entry) ->
+        if e.first_frame > !pos then ignore (fill e.first_frame (Some e));
+        note i D.Fresh;
+        emit e
+      | None -> (
+        incr degraded;
+        match stale with
+        | Some st ->
+          note i D.Stale_cache;
+          emit st.(i)
+        | None ->
+          (* Only the head of a run of missing records emits the
+             filler; the rest resolved at whatever rung it picked. *)
+          let next = next_intact (i + 1) in
+          let until =
+            match next with
+            | Some e -> e.Annotation.Track.first_frame
+            | None -> p.total_frames
+          in
+          if until > !pos then last_fill := fill until next;
+          note i !last_fill))
+    p.entries;
+  if p.total_frames > !pos then ignore (fill p.total_frames None);
   let track =
     Annotation.Track.make ~clip_name:p.clip_name ~device_name:p.device_name
       ~quality:p.quality ~fps:p.fps ~total_frames:p.total_frames
       (Array.of_list (List.rev !out))
   in
-  (track, degraded)
+  (track, !degraded)
+
+let patch_partial policy p =
+  fill_gaps ~clamp:(policy = Neighbour_clamp) ~stale:None
+    ~note:(fun _ _ -> ())
+    p
 
 let degradation_label = function
   | Full_backlight -> "full_backlight"
@@ -225,104 +254,17 @@ let stale_usable ~stale (p : Annotation.Encoding.partial) =
     if !aligned then Some st.Annotation.Track.entries else None
   | _ -> None
 
-(* Ladder-aware patching: like [patch_partial], but every missing
-   record resolves at the shallowest enabled degradation rung — the
-   stale cached entry for its scene when one exists, the neighbour
-   clamp when both intact neighbours agree, full backlight otherwise —
-   and each non-fresh resolution is journaled as a Ladder_step. *)
+(* Ladder-aware patching: the same walk with the rungs the ladder
+   enables — the stale cached entry for each missing scene when one
+   lines up, the neighbour clamp — and every non-fresh resolution
+   journaled as a Ladder_step. *)
 let patch_partial_ladder ladder ~stale ~t_s (p : Annotation.Encoding.partial) =
   let module D = Resilience.Degrade in
-  let stale_entries =
-    if D.enabled ladder D.Stale_cache then stale_usable ~stale p else None
-  in
-  let out = ref [] in
-  let pos = ref 0 in
-  let prev = ref None in
-  let degraded = ref 0 in
-  let last_fill_step = ref D.Full_backlight in
-  let clamp_enabled = D.enabled ladder D.Neighbour_clamp in
-  let note i step = D.note ladder ~t_s ~scene:i step in
-  let n = Array.length p.entries in
-  (* Next intact entry at or after record [i] — the gap filler's
-     right-hand neighbour. *)
-  let next_intact i =
-    let rec loop j =
-      if j >= n then None
-      else match p.entries.(j) with Some e -> Some e | None -> loop (j + 1)
-    in
-    loop i
-  in
-  let emit (e : Annotation.Track.entry) =
-    out := e :: !out;
-    pos := e.first_frame + e.frame_count;
-    prev := Some e
-  in
-  Array.iteri
-    (fun i entry ->
-      match entry with
-      | Some (e : Annotation.Track.entry) ->
-        note i D.Fresh;
-        emit e
-      | None -> (
-        incr degraded;
-        match stale_entries with
-        | Some st ->
-          note i D.Stale_cache;
-          emit st.(i)
-        | None -> (
-          (* No per-scene stale entry: clamp between agreeing intact
-             neighbours, full backlight otherwise — the same fill rule
-             as [patch_partial], journaled rung by rung. The gap's
-             frame span is recovered from the neighbours. *)
-          let next = next_intact (i + 1) in
-          let until =
-            match next with
-            | Some e -> e.Annotation.Track.first_frame
-            | None -> p.total_frames
-          in
-          (* Consecutive missing records merge into one filler entry;
-             only the first of the run emits it. *)
-          let run_start = !pos in
-          if until > run_start then begin
-            let step, entry =
-              match (!prev, next) with
-              | Some (a : Annotation.Track.entry), Some b
-                when clamp_enabled && a.register = b.register
-                     && a.effective_max = b.effective_max ->
-                ( D.Neighbour_clamp,
-                  {
-                    Annotation.Track.first_frame = run_start;
-                    frame_count = until - run_start;
-                    register = a.register;
-                    compensation = Float.max a.compensation b.compensation;
-                    effective_max = a.effective_max;
-                  } )
-              | _ ->
-                ( D.Full_backlight,
-                  {
-                    Annotation.Track.first_frame = run_start;
-                    frame_count = until - run_start;
-                    register = 255;
-                    compensation = 1.;
-                    effective_max = 255;
-                  } )
-            in
-            note i step;
-            last_fill_step := step;
-            out := entry :: !out;
-            pos := until
-          end
-          else
-            (* A later record of an already-filled run: it resolved at
-               whatever rung the run head picked. *)
-            note i !last_fill_step)))
-    p.entries;
-  let track =
-    Annotation.Track.make ~clip_name:p.clip_name ~device_name:p.device_name
-      ~quality:p.quality ~fps:p.fps ~total_frames:p.total_frames
-      (Array.of_list (List.rev !out))
-  in
-  (track, !degraded)
+  fill_gaps
+    ~clamp:(D.enabled ladder D.Neighbour_clamp)
+    ~stale:(if D.enabled ladder D.Stale_cache then stale_usable ~stale p else None)
+    ~note:(fun i step -> D.note ladder ~t_s ~scene:i step)
+    p
 
 (* Journal fields ride as non-negative varints; a non-finite or
    negative reading (an fps-0 clip record, a negative stage budget)
@@ -424,44 +366,68 @@ let frames m = m.m_frames
 
 let dt_s m = m.m_dt_s
 
-(* Build the warm-path artifacts a prepared-stream cache injects into
-   [create ?prepared]: the server-side work (annotate, protect,
-   encode) plus the reference decode, computed once per clip instead
-   of once per session. Unspanned and un-journaled — cache fills are
-   the shard's work, not any one session's. [?track] lets a caller
-   that already ran the server's annotation pipeline (Server.prepare,
-   with its bulkhead and cache) reuse that track. *)
-let prepare_input ?track config clip =
-  let track =
+(* The negotiated session a config describes — what the mapping-site
+   rule ({!Negotiation.annotate}, {!Negotiation.client_track}) reads. *)
+let negotiated config =
+  {
+    Negotiation.device = config.device;
+    quality = config.quality;
+    mapping = config.mapping;
+  }
+
+(* The server side of a session: profile, annotate, encode the track,
+   FEC-protect it, encode the video. [spanned] wraps the stages in the
+   session.profile / session.annotate / session.encode spans, as a
+   session's own start does; cache fills run unspanned. A given
+   [track] skips profiling and annotation. *)
+let server_side ~spanned ?track config clip =
+  let span name f = if spanned then span name f else f () in
+  let annotate =
     match track with
-    | Some t -> t
-    | None -> (
-      let profiled = Annotation.Annotator.profile clip in
-      match config.mapping with
-      | Negotiation.Server_side ->
-        Annotation.Annotator.annotate_profiled ~device:config.device
-          ~quality:config.quality profiled
-      | Negotiation.Client_side ->
-        Annotation.Neutral.annotate ~quality:config.quality profiled)
+    | Some t -> Fun.const t
+    | None ->
+      let profiled =
+        span "session.profile" (fun () -> Annotation.Annotator.profile clip)
+      in
+      fun () ->
+        Negotiation.annotate ~scene_params:Annotation.Scene_detect.default_params
+          (negotiated config) profiled
   in
-  let annotation_payload = Annotation.Encoding.encode track in
-  let protected =
-    Fec.protect ~packet_size:24 ~group_size:3 annotation_payload
+  let track, annotation_payload, protected =
+    span "session.annotate" @@ fun () ->
+    let track = annotate () in
+    let annotation_payload = Annotation.Encoding.encode track in
+    ( track,
+      annotation_payload,
+      Fec.protect ~packet_size:24 ~group_size:3 annotation_payload )
   in
   let encoded =
+    span "session.encode" @@ fun () ->
     Codec.Encoder.encode_clip
       ~params:{ Codec.Stream.default_params with gop = config.gop }
       clip
   in
+  { track; annotation_payload; protected; encoded; clean = None }
+
+(* The warm-path artifacts a prepared-stream cache injects into
+   [create ?prepared]: the server side plus the reference decode,
+   computed once per clip instead of once per session. Unspanned and
+   un-journaled — cache fills are the shard's work, not any one
+   session's. [?track] lets a caller that already ran the server's
+   annotation pipeline (Server.prepare, with its bulkhead and cache)
+   reuse that track. *)
+let prepare_input ?track config clip =
+  let input = server_side ~spanned:false ?track config clip in
   let clean =
-    match Codec.Decoder.decode encoded.Codec.Encoder.data with
+    match Codec.Decoder.decode input.encoded.Codec.Encoder.data with
     | Ok c -> Some c
     | Error _ -> None
   in
-  { track; annotation_payload; protected; encoded; clean }
+  { input with clean }
 
-(* Session start: journal + log, then the server-side stages (profile,
-   annotate, protect, encode) — or the injected warm artifacts. *)
+(* Session start: journal + log, then the server side — or the
+   injected warm artifacts. The reference decode stays in
+   [step_decode]. *)
 let step_start m =
   let config = m.m_config and clip = m.m_clip in
   let frames = m.m_frames and fps = m.m_fps in
@@ -486,34 +452,7 @@ let step_start m =
   let prep =
     match m.m_injected with
     | Some p -> p
-    | None ->
-      (* Server side: annotate, encode, protect. *)
-      let profiled =
-        span "session.profile" (fun () -> Annotation.Annotator.profile clip)
-      in
-      let track, annotation_payload, protected =
-        span "session.annotate" @@ fun () ->
-        let track =
-          match config.mapping with
-          | Negotiation.Server_side ->
-            Annotation.Annotator.annotate_profiled ~device:config.device
-              ~quality:config.quality profiled
-          | Negotiation.Client_side ->
-            Annotation.Neutral.annotate ~quality:config.quality profiled
-        in
-        let annotation_payload = Annotation.Encoding.encode track in
-        let protected =
-          Fec.protect ~packet_size:24 ~group_size:3 annotation_payload
-        in
-        (track, annotation_payload, protected)
-      in
-      let encoded =
-        span "session.encode" @@ fun () ->
-        Codec.Encoder.encode_clip
-          ~params:{ Codec.Stream.default_params with gop = config.gop }
-          clip
-      in
-      { track; annotation_payload; protected; encoded; clean = None }
+    | None -> server_side ~spanned:true config clip
   in
   m.m_stage <- Prepared prep
 
@@ -521,6 +460,8 @@ let step_start m =
 let step_transmit m (prep : prepared_input) =
   let config = m.m_config in
   let track = prep.track and protected_annotations = prep.protected in
+  (* The client finishes a device-neutral track with its own table. *)
+  let mapped = Negotiation.client_track (negotiated config) in
   let annotations_survived, client_track, degraded_scenes, retransmissions,
       corrupt_records =
     span "session.transmit" @@ fun () ->
@@ -535,13 +476,7 @@ let step_transmit m (prep : prepared_input) =
       match Fec.recover protected_annotations ~present:annotation_arrival with
       | Ok payload -> (
         match Annotation.Encoding.decode payload with
-        | Ok wire_track -> (
-          ( true,
-            (match config.mapping with
-            | Negotiation.Server_side -> wire_track
-            | Negotiation.Client_side ->
-              Annotation.Neutral.map_to_device config.device wire_track),
-            0, 0, 0 ))
+        | Ok wire_track -> (true, mapped wire_track, 0, 0, 0)
         | Error _ -> (false, track, 0, 0, 0))
       | Error _ -> (false, track, 0, 0, 0))
     | Some fault -> (
@@ -604,12 +539,6 @@ let step_transmit m (prep : prepared_input) =
                });
           true
         | _ -> false
-      in
-      let mapped t =
-        match config.mapping with
-        | Negotiation.Server_side -> t
-        | Negotiation.Client_side ->
-          Annotation.Neutral.map_to_device config.device t
       in
       (* The whole track fell back (header unusable, nothing intact,
          or the watchdog tripped): with a ladder and a stale cached

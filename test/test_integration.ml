@@ -53,7 +53,7 @@ let test_full_pipeline_end_to_end () =
   (* Spot-check perceived quality with the camera on a mid-clip frame. *)
   let i = clip.Video.Clip.frame_count / 3 in
   let original = clip.Video.Clip.render i in
-  let compensated = prepared.Streaming.Server.compensated.Video.Clip.render i in
+  let compensated = Annotation.Compensate.frame prepared.Streaming.Server.track i original in
   let entry = Annotation.Track.lookup wire_track i in
   let rig = Camera.Snapshot.noiseless_rig device in
   let verdict =
