@@ -4,7 +4,6 @@
    Usage:
      main.exe                 run every figure/table experiment
      main.exe fig9 fig10      run selected experiments
-     main.exe micro           Bechamel micro-benchmarks of hot kernels
      main.exe --list          list experiment ids *)
 
 let device = Display.Device.ipaq_h5555
@@ -35,6 +34,19 @@ let profiled_workload profile =
     let p = Annotation.Annotator.profile (render_workload profile) in
     Hashtbl.add profiled_cache name p;
     p
+
+(* The dvfs and radio experiments stream the same workloads at the
+   default codec parameters (GOP 12): each clip is encoded once. *)
+let encoded_cache : (string, Codec.Encoder.encoded) Hashtbl.t = Hashtbl.create 8
+
+let encoded_workload profile =
+  let name = profile.Video.Profile.name in
+  match Hashtbl.find_opt encoded_cache name with
+  | Some e -> e
+  | None ->
+    let e = Codec.Encoder.encode_clip (render_workload profile) in
+    Hashtbl.add encoded_cache name e;
+    e
 
 (* A 16-bucket rendering of a 256-bin histogram, as an ASCII bar
    chart — the textual analogue of the paper's histogram figures. *)
@@ -418,11 +430,10 @@ let ablation_operator () =
 let dvfs () =
   section
     "Extension — CPU frequency scaling from workload annotations (§3), 4 clips";
-  let fps = 12. in
+  let fps = sweep_fps in
   List.iter
     (fun profile ->
-      let clip = Video.Clip_gen.render ~width:160 ~height:120 ~fps profile in
-      let encoded = Codec.Encoder.encode_clip clip in
+      let encoded = encoded_workload profile in
       let cycles = Streaming.Dvfs_playback.decode_cycles encoded in
       Printf.printf "\n%s (annotations %d bytes):\n" profile.Video.Profile.name
         (Streaming.Dvfs_playback.annotation_bytes cycles);
@@ -447,15 +458,11 @@ let dvfs () =
 let radio () =
   section
     "Extension — WLAN power-save from stream-burst annotations (§3), 4 clips";
-  let fps = 12. and gop = 12 in
+  let fps = sweep_fps and gop = Codec.Stream.default_params.Codec.Stream.gop in
   let link = Streaming.Netsim.wlan_80211b in
   List.iter
     (fun profile ->
-      let clip = Video.Clip_gen.render ~width:160 ~height:120 ~fps profile in
-      let encoded =
-        Codec.Encoder.encode_clip
-          ~params:{ Codec.Stream.default_params with gop } clip
-      in
+      let encoded = encoded_workload profile in
       let frame_bytes =
         Array.map (fun bits -> (bits + 7) / 8) encoded.Codec.Encoder.frame_sizes_bits
       in
@@ -1186,78 +1193,6 @@ let session () =
     "\n(1% packet loss on the hop; annotations FEC-protected; the device\n\
     \ column is whole-device energy vs full backlight + full CPU speed +\n\
     \ always-on radio)"
-
-(* --- Bechamel micro-benchmarks ------------------------------------------ *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let frame =
-    let img = Image.Raster.create ~width:sweep_width ~height:sweep_height in
-    Image.Draw.fill_vertical_gradient img ~top:(Image.Pixel.gray 20)
-      ~bottom:(Image.Pixel.gray 180);
-    img
-  in
-  let hist = Image.Histogram.of_raster frame in
-  let max_track = Array.init 600 (fun i -> 40 + (i * 97 mod 180)) in
-  let block =
-    let rng = Image.Prng.create ~seed:3 in
-    Array.init 64 (fun _ -> float_of_int (Image.Prng.int rng 256))
-  in
-  let tests =
-    [
-      Test.make ~name:"histogram/of_raster (160x120)"
-        (Staged.stage (fun () -> ignore (Image.Histogram.of_raster frame)));
-      Test.make ~name:"ops/contrast_enhance (160x120)"
-        (Staged.stage (fun () -> ignore (Image.Ops.contrast_enhance ~k:1.7 frame)));
-      Test.make ~name:"scene_detect/segment (600 frames)"
-        (Staged.stage (fun () ->
-             ignore (Annotation.Scene_detect.segment Annotation.Scene_detect.default_params max_track)));
-      Test.make ~name:"solver/solve"
-        (Staged.stage (fun () ->
-             ignore
-               (Annotation.Backlight_solver.solve ~device
-                  ~quality:Annotation.Quality_level.Loss_10 hist)));
-      Test.make ~name:"dct/forward+inverse"
-        (Staged.stage (fun () -> ignore (Codec.Dct.inverse (Codec.Dct.forward block))));
-      Test.make ~name:"transfer/inverse"
-        (Staged.stage (fun () ->
-             ignore (Display.Device.register_for_gain device 0.37)));
-      Test.make ~name:"metrics/ssim (160x120)"
-        (Staged.stage (fun () -> ignore (Image.Metrics.ssim frame frame)));
-      Test.make ~name:"deblock/filter (160x120)"
-        (Staged.stage (fun () -> ignore (Codec.Deblock.filter frame)));
-      Test.make ~name:"histogram/emd"
-        (Staged.stage (fun () ->
-             ignore (Image.Histogram.earth_movers_distance hist hist)));
-      Test.make ~name:"encoding/annotation track"
-        (Staged.stage
-           (let track =
-              Annotation.Annotator.annotate ~device ~quality:Annotation.Quality_level.Loss_10
-                (Video.Clip_gen.render ~width:32 ~height:24 ~fps:8.
-                   Video.Workloads.officexp)
-            in
-            fun () -> ignore (Annotation.Encoding.encode track)));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-    let results = Benchmark.all cfg [ instance ] test in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false
-           ~predictors:[| Measure.run |])
-        instance results
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-36s %12.1f ns/run\n" name est
-        | Some _ | None -> Printf.printf "  %-36s (no estimate)\n" name)
-      ols
-  in
-  List.iter benchmark tests
 
 (* --- Extension: E17 energy attribution + regression gate ------------------- *)
 
@@ -2019,8 +1954,7 @@ let experiments =
 
 let list_experiments () =
   print_endline "experiments:";
-  List.iter (fun (id, descr, _) -> Printf.printf "  %-20s %s\n" id descr) experiments;
-  Printf.printf "  %-20s %s\n" "micro" "Bechamel micro-benchmarks"
+  List.iter (fun (id, descr, _) -> Printf.printf "  %-20s %s\n" id descr) experiments
 
 (* Each experiment runs as a top-level span, so the harness ends with a
    per-phase wall-clock table and a machine-readable BENCH_obs.json
@@ -2190,14 +2124,12 @@ let () =
   in
   (match strip_flags (Array.to_list Sys.argv) with
   | _ :: [] ->
-    (* Everything except the micro-benchmarks, which have their own id. *)
     List.iter (fun (id, _, run) -> observed id run) experiments
   | _ :: args ->
     List.iter
       (fun arg ->
         match arg with
         | "--list" | "-l" -> list_experiments ()
-        | "micro" -> observed "micro" micro
         | id -> (
           match List.find_opt (fun (name, _, _) -> name = id) experiments with
           | Some (_, _, run) -> observed id run

@@ -32,24 +32,35 @@ let () =
 
   (* 1. The proxy annotates live with half a second of lookahead. *)
   let lookahead = 6 in
-  let session =
-    Streaming.Proxy.annotate_live ~lookahead ~device
-      ~quality:Annotation.Quality_level.Loss_10 clip
+  let track =
+    Annotation.Live.annotate ~lookahead ~device
+      ~quality:Annotation.Quality_level.Loss_10
+      (Annotation.Annotator.profile clip)
   in
+  let annotation_bytes = Annotation.Encoding.encode track in
   Printf.printf "live annotation: %d bytes, %.2f s added latency\n"
-    (String.length session.Streaming.Proxy.annotation_bytes)
-    session.Streaming.Proxy.added_latency_s;
+    (String.length annotation_bytes)
+    (Annotation.Live.added_latency_s ~lookahead ~fps);
 
   (* 2. The proxy transcodes to fit a congested 802.11b hop at half
-     rate. *)
+     rate: it decodes the incoming stream and rate-controls the
+     re-encode, never finer than the source quantiser (re-encoding
+     cannot add quality). *)
   let slow_link =
     Streaming.Netsim.make ~bandwidth_bps:400_000. ~packet_payload_bytes:1400
       ~per_packet_overhead_bytes:54
   in
   let encoded = Codec.Encoder.encode_clip clip in
-  (match Streaming.Proxy.transcode_for_link ~link:slow_link encoded with
+  (match Codec.Decoder.decode encoded.Codec.Encoder.data with
   | Error e -> failwith e
-  | Ok outcome ->
+  | Ok decoded ->
+    let outcome =
+      Codec.Rate_control.for_link
+        ~min_qp:encoded.Codec.Encoder.params.Codec.Stream.qp
+        ~link_bps:slow_link.Streaming.Netsim.bandwidth_bps
+        (Video.Clip.of_frames ~name:"transcoded" ~fps:decoded.Codec.Decoder.fps
+           decoded.Codec.Decoder.frames)
+    in
     Printf.printf "transcode: %d KB -> %d KB (qp %d, fits: %b)\n"
       (Codec.Encoder.total_bytes encoded / 1024)
       (Codec.Encoder.total_bytes outcome.Codec.Rate_control.encoded / 1024)
@@ -62,8 +73,8 @@ let () =
     let backlight_report =
       Streaming.Playback.run_with_registers ~device
         ~quality:Annotation.Quality_level.Loss_10 ~clip_name:"conference" ~fps
-        ~annotation_bytes:(String.length session.Streaming.Proxy.annotation_bytes)
-        (Annotation.Track.register_track session.Streaming.Proxy.track)
+        ~annotation_bytes:(String.length annotation_bytes)
+        (Annotation.Track.register_track track)
     in
     Printf.printf "backlight: %.1f%% saved (device: %.1f%%)\n"
       (100. *. backlight_report.Streaming.Playback.backlight_savings)

@@ -105,7 +105,7 @@ let resilience_mut_idents =
 let resilience_hook_files =
   [
     "lib/streaming/session.ml"; "lib/streaming/transport.ml";
-    "lib/streaming/server.ml"; "lib/streaming/proxy.ml";
+    "lib/streaming/server.ml";
   ]
 
 let sorters =

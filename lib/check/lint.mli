@@ -52,8 +52,8 @@
     - [L012] [Resilience.Breaker.allow]/[record] or
       [Resilience.Degrade.note] anywhere but [lib/resilience] and the
       sanctioned streaming integration sites
-      ([lib/streaming/session.ml], [transport.ml], [server.ml],
-      [proxy.ml]) — breaker trips and ladder descents are journaled
+      ([lib/streaming/session.ml], [transport.ml], [server.ml]) —
+      breaker trips and ladder descents are journaled
       control-plane decisions; mutating their state from arbitrary
       code would bend a breaker open (or fake a rung) without an
       auditable trace.

@@ -39,20 +39,6 @@ let pad_to_multiple p m =
     out
   end
 
-let crop p ~width ~height =
-  if width > p.width || height > p.height || width <= 0 || height <= 0 then
-    invalid_arg "Plane.crop: bad dimensions";
-  if width = p.width && height = p.height then p
-  else begin
-    let out = create ~width ~height in
-    for y = 0 to height - 1 do
-      for x = 0 to width - 1 do
-        out.samples.((y * width) + x) <- p.samples.((y * p.width) + x)
-      done
-    done;
-    out
-  end
-
 let equal a b = a.width = b.width && a.height = b.height && a.samples = b.samples
 
 type ycbcr = { y : t; cb : t; cr : t }

@@ -27,9 +27,6 @@ val pad_to_multiple : t -> int -> t
     multiples of [m] by edge replication; returns [p] itself if it is
     already aligned. *)
 
-val crop : t -> width:int -> height:int -> t
-(** [crop p ~width ~height] keeps the top-left region. *)
-
 val equal : t -> t -> bool
 
 type ycbcr = { y : t; cb : t; cr : t }

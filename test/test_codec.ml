@@ -230,9 +230,7 @@ let test_plane_pad_and_crop () =
   let padded = Codec.Plane.pad_to_multiple p 8 in
   check int "padded width" 8 padded.Codec.Plane.width;
   check int "padded height" 8 padded.Codec.Plane.height;
-  check int "edge replicated" 42 (Codec.Plane.get padded ~x:7 ~y:7);
-  let cropped = Codec.Plane.crop padded ~width:5 ~height:3 in
-  check bool "crop restores" true (Codec.Plane.equal p cropped)
+  check int "edge replicated" 42 (Codec.Plane.get padded ~x:7 ~y:7)
 
 let test_plane_pad_identity_when_aligned () =
   let p = Codec.Plane.create ~width:8 ~height:16 in
@@ -588,52 +586,6 @@ let test_codec_static_clip_compresses_well () =
     check bool (Printf.sprintf "P frame %d tiny" i) true
       (encoded.Codec.Encoder.frame_sizes_bits.(i) * 4 < i_size)
   done
-
-(* --- Deblock -------------------------------------------------------------- *)
-
-let blocky_frame () =
-  (* Constant 8x8 tiles of alternating levels: maximal grid artefact. *)
-  Image.Raster.init ~width:32 ~height:32 (fun ~x ~y ->
-      Image.Pixel.gray (if ((x / 8) + (y / 8)) mod 2 = 0 then 100 else 112))
-
-let test_deblock_blockiness_metric () =
-  let blocky = blocky_frame () in
-  let smooth = Image.Raster.create ~width:32 ~height:32 in
-  Image.Draw.fill_vertical_gradient smooth ~top:(Image.Pixel.gray 60)
-    ~bottom:(Image.Pixel.gray 180);
-  check bool "tiles are blocky" true (Codec.Deblock.blockiness blocky > 5.);
-  check bool "gradient is clean" true (Codec.Deblock.blockiness smooth < 1.)
-
-let test_deblock_reduces_blockiness () =
-  let blocky = blocky_frame () in
-  let filtered = Codec.Deblock.filter blocky in
-  check bool "filter reduces the metric" true
-    (Codec.Deblock.blockiness filtered < Codec.Deblock.blockiness blocky)
-
-let test_deblock_preserves_strong_edges () =
-  (* A hard 100-level edge aligned to the grid is image content. *)
-  let img = Image.Raster.init ~width:32 ~height:32 (fun ~x ~y ->
-      ignore y;
-      Image.Pixel.gray (if x < 16 then 40 else 160))
-  in
-  let filtered = Codec.Deblock.filter img in
-  check bool "strong edge untouched" true (Image.Raster.equal img filtered)
-
-let test_deblock_on_coarse_stream () =
-  (* Decoding a coarse-quantiser stream and filtering must reduce
-     blockiness without wrecking PSNR. *)
-  let clip = test_clip ~frames:2 () in
-  let encoded =
-    Codec.Encoder.encode_clip ~params:{ Codec.Stream.default_params with qp = 28 } clip
-  in
-  let decoded = Codec.Decoder.decode_exn encoded.Codec.Encoder.data in
-  let raw = decoded.Codec.Decoder.frames.(0) in
-  let filtered = Codec.Deblock.filter raw in
-  check bool "blockiness reduced" true
-    (Codec.Deblock.blockiness filtered <= Codec.Deblock.blockiness raw);
-  let original = clip.Video.Clip.render 0 in
-  check bool "psnr within 1.5 dB" true
-    (Image.Metrics.psnr original filtered > Image.Metrics.psnr original raw -. 1.5)
 
 (* --- Gop planner --------------------------------------------------------- *)
 
@@ -1142,14 +1094,6 @@ let () =
           Alcotest.test_case "rejects bad params" `Quick test_codec_rejects_bad_params;
           Alcotest.test_case "static clip compresses" `Quick
             test_codec_static_clip_compresses_well;
-        ] );
-      ( "deblock",
-        [
-          Alcotest.test_case "blockiness metric" `Quick test_deblock_blockiness_metric;
-          Alcotest.test_case "reduces blockiness" `Quick test_deblock_reduces_blockiness;
-          Alcotest.test_case "preserves strong edges" `Quick
-            test_deblock_preserves_strong_edges;
-          Alcotest.test_case "coarse stream" `Quick test_deblock_on_coarse_stream;
         ] );
       ( "gop planner",
         [
