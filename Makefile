@@ -108,16 +108,20 @@ bench:
 	dune exec bench/main.exe
 
 # Benchmark smoke: each perfbench workload runs a one-second window,
-# and cold_catalog runs once more with per-layer tracing. Every run
-# must exit 0, so the driver's output checks (traced equals untraced,
-# byte-identical fleet journals, replayed sessions end as journaled)
-# gate the build. The timings themselves are not compared.
+# and cold_catalog and fleet_lossy run once more with per-layer
+# tracing (the traced fleet replay decodes from each session's loss
+# back to the last I-frame, under the journal and session-end checks).
+# Every run must exit 0, so the driver's output checks (traced equals
+# untraced, byte-identical fleet journals, replayed sessions end as
+# journaled) gate the build. The timings themselves are not compared.
 bench-smoke:
 	for w in cold_catalog fleet_clean fleet_lossy; do \
 	  python3 perfbench/run.py --workload $$w --seconds 1 --trace 0 \
 	    > /dev/null || exit 1; \
 	done
 	python3 perfbench/run.py --workload cold_catalog --seconds 1 --trace 1 \
+	  > /dev/null
+	python3 perfbench/run.py --workload fleet_lossy --seconds 1 --trace 1 \
 	  > /dev/null
 
 # Energy + resilience + fleet regression gate: the committed baseline

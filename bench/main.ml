@@ -682,7 +682,6 @@ let loss () =
       let encoded =
         Codec.Encoder.encode_clip ~params:{ Codec.Stream.default_params with gop } clip
       in
-      let clean = Codec.Decoder.decode_exn encoded.Codec.Encoder.data in
       let packetized =
         match Streaming.Transport.packetize encoded with
         | Ok p -> p
@@ -701,7 +700,7 @@ let loss () =
             Printf.printf "%-6d %-5.0f%% %10.1f %10d %10d %12d\n" gop
               (100. *. rate)
               (Streaming.Transport.mean_psnr
-                 ~reference:clean.Codec.Decoder.frames
+                 ~reference:encoded.Codec.Encoder.reconstruction
                  received.Streaming.Transport.pictures)
               received.Streaming.Transport.concealed
               received.Streaming.Transport.drifted

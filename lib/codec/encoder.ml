@@ -7,6 +7,7 @@ type encoded = {
   params : Stream.params;
   frame_sizes_bits : int array;
   frame_types : Stream.frame_type array;
+  reconstruction : Image.Raster.t array;
 }
 
 let obs_frames_encoded =
@@ -168,6 +169,7 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     ~fps:clip.Video.Clip.fps ~frame_count params;
   let frame_sizes_bits = Array.make frame_count 0 in
   let frame_types = Array.make frame_count Stream.I_frame in
+  let reconstruction = Array.make frame_count (Image.Raster.create ~width:1 ~height:1) in
   (* One reconstruction and one edge-extended reference serve the whole
      clip: coding rewrites every block of the padded planes, and the
      reference is refreshed from the clamped reconstruction once a
@@ -221,6 +223,11 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     Plane.clamp recon.Plane.y;
     Plane.clamp recon.Plane.cb;
     Plane.clamp recon.Plane.cr;
+    (* The decoder clamps the same planes and converts them the same
+       way, so this is the picture it will show. *)
+    reconstruction.(i) <-
+      Plane.to_raster ~width:clip.Video.Clip.width ~height:clip.Video.Clip.height
+        recon;
     if i < frame_count - 1 then begin
       Motion.extend_into ref_y recon.Plane.y;
       Motion.extend_into ref_cb recon.Plane.cb;
@@ -244,6 +251,7 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     params;
     frame_sizes_bits;
     frame_types;
+    reconstruction;
   }
 
 let encode_clip ?(params = Stream.default_params) ?i_frame_at ?qp_for clip =

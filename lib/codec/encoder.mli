@@ -16,6 +16,14 @@ type encoded = {
   params : Stream.params;
   frame_sizes_bits : int array;  (** per-frame payload size *)
   frame_types : Stream.frame_type array;
+  reconstruction : Image.Raster.t array;
+      (** the encoder's own reconstruction of every frame, at the
+          clip's size: [reconstruction.(i)] equals
+          [(Decoder.decode data).frames.(i)] byte for byte, because
+          the encoder predicts from exactly the clamped planes the
+          decoder rebuilds. The client takes these pictures instead of
+          decoding frames whose prediction chain arrived intact, and
+          shares them between sessions: nothing may write into them. *)
 }
 
 val encode_clip :

@@ -2,24 +2,45 @@ type packetized = {
   info : Codec.Decoder.stream_info;
   payloads : string array;
   frame_types : Codec.Stream.frame_type array;
+  reconstruction : Image.Raster.t array;
 }
 
 let packetize (encoded : Codec.Encoder.encoded) =
-  Result.map
-    (fun info ->
-      let data = encoded.Codec.Encoder.data in
-      let offset = ref info.Codec.Decoder.header_bytes in
-      let payloads =
-        Array.map
-          (fun bits ->
-            let bytes = (bits + 7) / 8 in
-            let payload = String.sub data !offset bytes in
-            offset := !offset + bytes;
-            payload)
-          encoded.Codec.Encoder.frame_sizes_bits
+  let data = encoded.Codec.Encoder.data in
+  let sizes = encoded.Codec.Encoder.frame_sizes_bits in
+  Result.bind (Codec.Decoder.parse_header data) (fun info ->
+      let n = info.Codec.Decoder.info_frame_count in
+      let payload_bytes =
+        Array.fold_left (fun acc bits -> acc + ((bits + 7) / 8)) 0 sizes
       in
-      { info; payloads; frame_types = encoded.Codec.Encoder.frame_types })
-    (Codec.Decoder.parse_header encoded.Codec.Encoder.data)
+      if
+        Array.length sizes <> n
+        || Array.length encoded.Codec.Encoder.frame_types <> n
+        || Array.length encoded.Codec.Encoder.reconstruction <> n
+      then Error "frame tables disagree with the header's frame count"
+      else if Array.exists (fun bits -> bits < 0) sizes then
+        Error "negative frame size"
+      else if info.Codec.Decoder.header_bytes + payload_bytes > String.length data
+      then Error "frame sizes overrun the stream"
+      else begin
+        let offset = ref info.Codec.Decoder.header_bytes in
+        let payloads =
+          Array.map
+            (fun bits ->
+              let bytes = (bits + 7) / 8 in
+              let payload = String.sub data !offset bytes in
+              offset := !offset + bytes;
+              payload)
+            sizes
+        in
+        Ok
+          {
+            info;
+            payloads;
+            frame_types = encoded.Codec.Encoder.frame_types;
+            reconstruction = encoded.Codec.Encoder.reconstruction;
+          }
+      end)
 
 let obs_frames_lost =
   Obs.counter ~help:"Video frames dropped by the simulated lossy hop"
@@ -44,6 +65,13 @@ type received = {
   drifted : int;
 }
 
+(* A received frame whose prediction chain reaches back, loss-free, to
+   a received I-frame is the encoder's reconstruction: the client shows
+   [t.reconstruction.(i)] itself and decodes nothing. While in sync the
+   decoder's own reference is not kept; the first loss rebuilds it by
+   decoding from the I-frame that opened the run up to the frame before
+   the loss, and decoding then goes on frame by frame — concealing,
+   drifting — until the next received I-frame restores sync. *)
 let decode_with_concealment t ~lost =
   Obs.Trace.with_span "transport.decode"
     ~attrs:[ ("frames", string_of_int (Array.length t.payloads)) ]
@@ -55,6 +83,14 @@ let decode_with_concealment t ~lost =
     Obs.Metrics.Counter.incr obs_frames_lost
       ~by:(Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 lost);
   let pictures = Array.make n (Image.Raster.create ~width:1 ~height:1) in
+  let decode reference i =
+    match Codec.Decoder.decode_frame ~info:t.info ~reference t.payloads.(i) with
+    | Error msg -> failwith msg
+    | Ok decoded -> decoded
+  in
+  (* [Some s] while every frame since the received I-frame [s] was
+     received; [reference] is then stale. *)
+  let synced = ref None in
   let reference = ref None in
   let concealed = ref 0 and drifted = ref 0 in
   (* Tracks whether the prediction chain is currently damaged. *)
@@ -63,6 +99,13 @@ let decode_with_concealment t ~lost =
   (try
      for i = 0 to n - 1 do
        if lost.(i) then begin
+         (match !synced with
+         | None -> ()
+         | Some s ->
+           synced := None;
+           for k = s to i - 1 do
+             reference := Some (snd (decode (if k = s then None else !reference) k))
+           done);
          match !reference with
          | None -> failwith "first frame lost: nothing to conceal with"
          | Some prev ->
@@ -74,25 +117,23 @@ let decode_with_concealment t ~lost =
                ~width:t.info.Codec.Decoder.info_width
                ~height:t.info.Codec.Decoder.info_height prev
        end
-       else begin
-         match
-           Codec.Decoder.decode_frame ~info:t.info ~reference:!reference
-             t.payloads.(i)
-         with
-         | Error msg -> failwith msg
-         | Ok (picture, new_reference) ->
-           (* An I-frame refreshes the chain; a P-frame inherits any
-              damage. *)
-           (match t.frame_types.(i) with
-           | Codec.Stream.I_frame -> chain_dirty := false
-           | Codec.Stream.P_frame ->
-             if !chain_dirty then begin
-               incr drifted;
-               Obs.Metrics.Counter.incr obs_drifted
-             end);
+       else
+         match (t.frame_types.(i), !synced) with
+         | Codec.Stream.I_frame, _ ->
+           (* An I-frame refreshes the chain. *)
+           chain_dirty := false;
+           synced := Some i;
+           pictures.(i) <- t.reconstruction.(i)
+         | Codec.Stream.P_frame, Some _ -> pictures.(i) <- t.reconstruction.(i)
+         | Codec.Stream.P_frame, None ->
+           (* A P-frame inherits any damage. *)
+           let picture, next = decode !reference i in
+           if !chain_dirty then begin
+             incr drifted;
+             Obs.Metrics.Counter.incr obs_drifted
+           end;
            pictures.(i) <- picture;
-           reference := Some new_reference
-       end
+           reference := Some next
      done
    with Failure msg -> result := Error msg);
   Result.map
@@ -228,7 +269,11 @@ let mean_psnr ~reference pictures =
   let total = ref 0. in
   Array.iteri
     (fun i picture ->
-      let psnr = Image.Metrics.psnr reference.(i) picture in
-      total := !total +. Float.min 99. psnr)
+      (* A shared picture is identical: its PSNR is infinite, capped. *)
+      let psnr =
+        if picture == reference.(i) then 99.
+        else Float.min 99. (Image.Metrics.psnr reference.(i) picture)
+      in
+      total := !total +. psnr)
     pictures;
   !total /. float_of_int (Array.length reference)

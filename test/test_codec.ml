@@ -1005,6 +1005,40 @@ let prop_search_matches_brute_force =
         ~reference:(Codec.Motion.extend c.reference) ~x:c.bx ~y:c.by ()
       = brute_force_search ~range c)
 
+(* The encoder's reconstruction is the decoder's output: the client
+   shows it instead of decoding frames whose prediction chain arrived
+   intact. Any size from 8x8 up, fixed or per-frame quantisers, fixed
+   GOPs or custom I-frame placement. *)
+let prop_reconstruction_matches_decode =
+  let bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0') in
+  QCheck2.Test.make ~count:100 ~name:"encoder reconstruction equals the decoded frames"
+    ~print:(fun ((width, height, frames, seed), (qp, gop, i_frames, qps)) ->
+      Printf.sprintf "%dx%d %d frames seed %d qp %d gop %d i-frames %s qps %s" width
+        height frames seed qp gop
+        (match i_frames with Some a -> bits a | None -> "-")
+        (match qps with
+        | Some a -> String.concat "," (Array.to_list (Array.map string_of_int a))
+        | None -> "-"))
+    QCheck2.Gen.(
+      let* width = 8 -- 41 and* height = 8 -- 33 and* frames = 1 -- 10 in
+      let* seed = 0 -- 10_000 and* qp = 1 -- 31 and* gop = oneofl [ 1; 3; 12 ] in
+      let* i_frames = opt (array_size (return frames) bool) in
+      let* qps = opt (array_size (return frames) (1 -- 31)) in
+      return ((width, height, frames, seed), (qp, gop, i_frames, qps)))
+    (fun ((width, height, frames, seed), (qp, gop, i_frames, qps)) ->
+      let clip = test_clip ~width ~height ~frames ~seed () in
+      let encoded =
+        Codec.Encoder.encode_clip
+          ~params:{ Codec.Stream.qp; gop; search_range = 3 }
+          ?i_frame_at:(Option.map (fun a i -> a.(i mod frames)) i_frames)
+          ?qp_for:(Option.map (fun a ~index ~total_bits:_ -> a.(index mod frames)) qps)
+          clip
+      in
+      let decoded = Codec.Decoder.decode_exn encoded.Codec.Encoder.data in
+      let reconstruction = encoded.Codec.Encoder.reconstruction in
+      Array.length reconstruction = Array.length decoded.Codec.Decoder.frames
+      && Array.for_all2 Image.Raster.equal reconstruction decoded.Codec.Decoder.frames)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1016,6 +1050,7 @@ let qtests =
       prop_dct_matches_closure_transform;
       prop_bounded_sad_matches_clamped;
       prop_search_matches_brute_force;
+      prop_reconstruction_matches_decode;
     ]
 
 let () =
