@@ -83,14 +83,52 @@ let of_raster img =
 
 let clamp255 v = if v < 0 then 0 else if v > 255 then 255 else v
 
+let padded d = (d + 7) / 8 * 8
+
 let create_ycbcr ~width ~height =
-  let padded d = (d + 7) / 8 * 8 in
   let cw = padded (chroma_dim width) and ch = padded (chroma_dim height) in
   {
     y = create ~width:(padded width) ~height:(padded height);
     cb = create ~width:cw ~height:ch;
     cr = create ~width:cw ~height:ch;
   }
+
+let ycbcr_samples ~width ~height =
+  (padded width * padded height)
+  + (2 * padded (chroma_dim width) * padded (chroma_dim height))
+
+type packed = Bytes.t
+
+let ycbcr_length f =
+  Array.length f.y.samples + Array.length f.cb.samples + Array.length f.cr.samples
+
+let pack f =
+  let out = Bytes.create (ycbcr_length f) in
+  let put offset p =
+    let s = p.samples in
+    for i = 0 to Array.length s - 1 do
+      let v = s.(i) in
+      if v < 0 || v > 255 then invalid_arg "Plane.pack: sample out of [0, 255]";
+      Bytes.unsafe_set out (offset + i) (Char.unsafe_chr v)
+    done;
+    offset + Array.length s
+  in
+  ignore (put (put (put 0 f.y) f.cb) f.cr : int);
+  out
+
+let unpack_into packed f =
+  if Bytes.length packed <> ycbcr_length f then
+    invalid_arg "Plane.unpack_into: geometry mismatch";
+  let get offset p =
+    let s = p.samples in
+    for i = 0 to Array.length s - 1 do
+      s.(i) <- Char.code (Bytes.unsafe_get packed (offset + i))
+    done;
+    offset + Array.length s
+  in
+  ignore (get (get (get 0 f.y) f.cb) f.cr : int)
+
+let packed_bytes = Bytes.length
 
 let to_raster ?width ?height { y = yp; cb = cbp; cr = crp } =
   let w = Option.value width ~default:yp.width

@@ -42,6 +42,26 @@ val create_ycbcr : width:int -> height:int -> ycbcr
 val of_raster : Image.Raster.t -> ycbcr
 (** BT.601 conversion with 2x2 chroma averaging. *)
 
+type packed
+(** The samples of a {!ycbcr} at one byte each: luma, then Cb, then Cr,
+    row-major. Exact for planes whose samples lie in [0, 255], which is
+    what {!clamp} leaves — the planes a decoder predicts from. *)
+
+val pack : ycbcr -> packed
+(** Raises [Invalid_argument] if a sample lies outside [0, 255]. *)
+
+val unpack_into : packed -> ycbcr -> unit
+(** [unpack_into p f] overwrites [f] with the samples [p] was packed
+    from. Raises [Invalid_argument] unless [f] has as many samples as
+    [p]. *)
+
+val packed_bytes : packed -> int
+(** The number of samples [p] holds, one byte each. *)
+
+val ycbcr_samples : width:int -> height:int -> int
+(** The number of samples of [create_ycbcr ~width ~height]: what a
+    packed picture of that geometry holds. *)
+
 val to_raster : ?width:int -> ?height:int -> ycbcr -> Image.Raster.t
 (** Inverse conversion with chroma upsampling (nearest-neighbour) of
     the top-left [width] x [height] region (default: the whole luma

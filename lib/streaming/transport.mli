@@ -17,13 +17,17 @@ type packetized = {
   reconstruction : Image.Raster.t array;
       (** the encoder's pictures ({!Codec.Encoder.encoded}), shared,
           not copied *)
+  references : Codec.Plane.packed array;
+      (** the encoder's decoder references, shared, not copied *)
 }
 
 val packetize : Codec.Encoder.encoded -> (packetized, string) result
 (** Splits a bitstream at its (byte-aligned) frame boundaries. Returns
     [Error] when the header does not parse, when the frame sizes,
-    frame types and reconstruction do not all have the header's frame
-    count, or when the frame sizes overrun the data. *)
+    frame types, reconstruction and references do not all have the
+    header's frame count, when a reference does not hold the header
+    geometry's padded planes, or when the frame sizes overrun the
+    data. *)
 
 val bernoulli_loss : rate:float -> seed:int -> frames:int -> bool array
 (** [bernoulli_loss ~rate ~seed ~frames] marks each frame lost with
@@ -42,19 +46,22 @@ val decode_with_concealment :
   packetized -> lost:bool array -> (received, string) result
 (** Frame-by-frame decode with previous-picture concealment.
 
-    Precondition: [reconstruction] and [frame_types] are the encoder's
-    own for the payloads, as {!packetize} takes them from one
-    {!Codec.Encoder.encoded}. A record built otherwise gives wrong
+    Precondition: [reconstruction], [references] and [frame_types] are
+    the encoder's own for the payloads, as {!packetize} takes them from
+    one {!Codec.Encoder.encoded}. A record built otherwise gives wrong
     pictures, not an [Error].
 
-    Only frames from a loss up to the next received I-frame are parsed
-    and decoded. Every other received frame is the encoder's
-    reconstruction, and its picture is [reconstruction.(i)] itself, so
-    no picture may be written into: every session of a stream shares
-    them. Fails when nothing displayable exists yet (the very first
-    frame is lost before any picture was decoded) or when a payload
-    that is decoded is corrupt; corruption in a payload that is never
-    decoded goes undetected. *)
+    Only the received P-frames between a loss and the next received
+    I-frame are parsed and decoded: the first of them resumes from
+    [references.(k)], where [k] is the last frame before the loss, so
+    nothing is decoded twice. Every other received frame is the
+    encoder's reconstruction, and its picture is [reconstruction.(i)]
+    itself; a lost frame's picture is the previous frame's picture
+    itself. So no picture may be written into: every session of a
+    stream shares them. Fails when nothing displayable exists yet (the
+    very first frame is lost) or when a payload that is decoded is
+    corrupt; corruption in a payload that is never decoded goes
+    undetected. *)
 
 type nack_stats = {
   nack_rounds : int;

@@ -458,6 +458,56 @@ let prop_psnr_decreases_with_noise =
       in
       Image.Metrics.psnr img (noisy 2.) >= Image.Metrics.psnr img (noisy 25.))
 
+(* [Metrics.mse] as the per-pixel record fold it replaced. *)
+let reference_mse a b =
+  let sum = ref 0 in
+  for y = 0 to Image.Raster.height a - 1 do
+    for x = 0 to Image.Raster.width a - 1 do
+      let pa = Image.Raster.get a ~x ~y and pb = Image.Raster.get b ~x ~y in
+      let dr = pa.Image.Pixel.r - pb.Image.Pixel.r
+      and dg = pa.Image.Pixel.g - pb.Image.Pixel.g
+      and db = pa.Image.Pixel.b - pb.Image.Pixel.b in
+      sum := !sum + (dr * dr) + (dg * dg) + (db * db)
+    done
+  done;
+  float_of_int !sum /. float_of_int (3 * Image.Raster.pixel_count a)
+
+(* Two rasters of one size — 1x1 in about one case in four, odd sizes
+   often — the second either unrelated to the first or a lightly
+   perturbed copy of it, so both large and small errors occur. *)
+let raster_pair_gen =
+  let open QCheck2.Gen in
+  let dim = oneof [ return 1; 1 -- 13 ] in
+  let* width = dim and* height = dim in
+  let* seed_a = 0 -- 10_000 and* seed_b = 0 -- 10_000 and* spread = oneofl [ 3; 256 ] in
+  let rng_a = Image.Prng.create ~seed:seed_a and rng_b = Image.Prng.create ~seed:seed_b in
+  let a =
+    Image.Raster.init ~width ~height (fun ~x:_ ~y:_ ->
+        Image.Pixel.v (Image.Prng.int rng_a 256) (Image.Prng.int rng_a 256)
+          (Image.Prng.int rng_a 256))
+  in
+  let jitter v =
+    if spread = 256 then Image.Prng.int rng_b 256
+    else v + Image.Prng.int rng_b spread - (spread / 2)
+  in
+  let b =
+    Image.Raster.map
+      (fun p -> Image.Pixel.v (jitter p.Image.Pixel.r) (jitter p.Image.Pixel.g)
+          (jitter p.Image.Pixel.b))
+      a
+  in
+  return (a, b)
+
+let prop_mse_matches_pixel_fold =
+  QCheck2.Test.make ~count:300 ~name:"mse is bit-identical to the per-pixel fold"
+    ~print:(fun (a, b) ->
+      Printf.sprintf "%dx%d" (Image.Raster.width a) (Image.Raster.height b))
+    raster_pair_gen (fun (a, b) ->
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      same (Image.Metrics.mse a b) (reference_mse a b)
+      && same (Image.Metrics.mse b a) (reference_mse b a)
+      && same (Image.Metrics.mse a a) 0.)
+
 (* --- Draw ------------------------------------------------------------- *)
 
 let test_draw_gradient_endpoints () =
@@ -663,6 +713,7 @@ let qtests =
       prop_contrast_matches_pixel_scale;
       prop_display_sim_darkens;
       prop_psnr_decreases_with_noise;
+      prop_mse_matches_pixel_fold;
       prop_channel_max_predicts_clipping;
     ]
 
