@@ -109,8 +109,9 @@ bench:
 
 # Benchmark smoke: each perfbench workload runs a one-second window,
 # and cold_catalog and fleet_lossy run once more with per-layer
-# tracing (the traced fleet replay decodes from each session's loss
-# back to the last I-frame, under the journal and session-end checks).
+# tracing (the traced fleet replay resumes each session's decode from
+# the encoder's reference at its first loss, under the journal and
+# session-end checks).
 # Every run must exit 0, so the driver's output checks (traced equals
 # untraced, byte-identical fleet journals, replayed sessions end as
 # journaled) gate the build. The timings themselves are not compared.
