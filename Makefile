@@ -24,14 +24,14 @@ check:
 	  && $(MAKE) chaos && $(MAKE) chaos-ladder \
 	  && $(MAKE) gate && $(MAKE) bench-smoke
 
-# Static gate 1: the determinism linter over the library and tool
-# sources (rules L001-L012 plus the transitive effect closure, see
+# Static gate 1: the determinism linter over the library, tool and
+# bench sources (rules L001-L012 plus the transitive effect closure, see
 # README "Static checks") and the concurrency-safety analyzer (rules
 # C001-C006 over the cross-module call graph). Exits 1 on any finding
 # without a reasoned `lint: allow` comment.
 lint:
-	dune exec bin/lint.exe -- sources lib bin
-	dune exec bin/lint.exe -- concurrency lib bin
+	dune exec bin/lint.exe -- sources lib bin bench
+	dune exec bin/lint.exe -- concurrency lib bin bench
 
 # Static gate 2: the offline artifact verifier over everything the
 # repo ships — the example SLO and fault profiles, a freshly encoded

@@ -25,10 +25,11 @@ let write_block w levels =
     end
   done
 
-let read_block r =
+let read_block_into r levels =
+  check levels;
   let nnz = Golomb.read_ue r in
   if nnz > 64 then invalid_arg "Coeff.read_block: too many coefficients";
-  let zz = Array.make 64 0 in
+  Array.fill levels 0 64 0;
   let pos = ref 0 in
   for _ = 1 to nnz do
     let run = Golomb.read_ue r in
@@ -36,10 +37,9 @@ let read_block r =
     let k = !pos + run in
     if k > 63 then invalid_arg "Coeff.read_block: run past end of block";
     if level = 0 then invalid_arg "Coeff.read_block: zero level";
-    zz.(k) <- level;
+    levels.(Zigzag.scan_order.(k)) <- level;
     pos := k + 1
-  done;
-  Zigzag.inverse zz
+  done
 
 let bit_cost levels =
   check levels;

@@ -8,9 +8,10 @@
 val write_block : Bitio.Writer.t -> int array -> unit
 (** [write_block w levels] encodes 64 row-major quantised levels. *)
 
-val read_block : Bitio.Reader.t -> int array
-(** Decodes 64 row-major levels. Raises [Bitio.Reader.Out_of_bits] or
-    [Invalid_argument] on corrupt data. *)
+val read_block_into : Bitio.Reader.t -> int array -> unit
+(** [read_block_into r levels] decodes 64 row-major levels into
+    [levels]. Raises [Bitio.Reader.Out_of_bits] or [Invalid_argument]
+    on corrupt data, leaving [levels] unspecified. *)
 
 val bit_cost : int array -> int
 (** Exact number of bits [write_block] would emit — used by the

@@ -74,17 +74,28 @@ let parse_header data =
   | exception Corrupt msg -> Error msg
   | exception Bitio.Reader.Out_of_bits -> Error "truncated header"
 
-let decode_plane_intra r q kind (plane : Plane.t) =
+(* The decoder's block buffers: one set serves every block of every
+   frame a cursor or a frame-level decode rebuilds. *)
+type scratch = {
+  block : Block_codec.scratch;
+  levels : int array;
+  prediction : int array;
+}
+
+let scratch () =
+  { block = Block_codec.scratch (); levels = Array.make 64 0; prediction = Array.make 64 0 }
+
+let decode_plane_intra s r q kind (plane : Plane.t) =
   let bw = plane.Plane.width / 8 and bh = plane.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
-      let levels = Coeff.read_block r in
-      Motion.store_block plane ~x:(bx * 8) ~y:(by * 8)
-        (Block_codec.reconstruct_intra q kind levels)
+      Coeff.read_block_into r s.levels;
+      Block_codec.reconstruct_intra s.block q kind s.levels plane ~x:(bx * 8)
+        ~y:(by * 8)
     done
   done
 
-let decode_luma_p r q ~(reference : Motion.reference) (plane : Plane.t) =
+let decode_luma_p s r q ~(reference : Motion.reference) (plane : Plane.t) =
   let bw = plane.Plane.width / 8 and bh = plane.Plane.height / 8 in
   let modes = Array.make (bw * bh) Intra in
   for by = 0 to bh - 1 do
@@ -96,38 +107,33 @@ let decode_luma_p r q ~(reference : Motion.reference) (plane : Plane.t) =
         let dy = Golomb.read_se r in
         (* Vectors are coded in half-pel units. *)
         let vec = { Motion.dx; dy } in
-        let levels = Coeff.read_block r in
-        let prediction = Motion.extract_predicted_halfpel reference ~x ~y vec in
+        Coeff.read_block_into r s.levels;
+        Motion.predict_halfpel reference ~x ~y vec s.prediction;
         modes.((by * bw) + bx) <- Inter vec;
-        Motion.store_block plane ~x ~y
-          (Block_codec.reconstruct_inter q Quant.Luma ~prediction levels)
+        Block_codec.reconstruct_inter s.block q Quant.Luma ~prediction:s.prediction
+          s.levels plane ~x ~y
       | 1 ->
-        let levels = Coeff.read_block r in
-        Motion.store_block plane ~x ~y
-          (Block_codec.reconstruct_intra q Quant.Luma levels)
+        Coeff.read_block_into r s.levels;
+        Block_codec.reconstruct_intra s.block q Quant.Luma s.levels plane ~x ~y
       | m -> fail (Printf.sprintf "bad block mode %d" m)
     done
   done;
   modes
 
-let decode_chroma_p r q ~luma_modes ~luma_bw ~luma_bh
+let decode_chroma_p s r q ~luma_modes ~luma_bw ~luma_bh
     ~(reference : Motion.reference) (plane : Plane.t) =
   let bw = plane.Plane.width / 8 and bh = plane.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
-      let lx = min (2 * bx) (luma_bw - 1) and ly = min (2 * by) (luma_bh - 1) in
-      let levels = Coeff.read_block r in
+      let lx = Int.min (2 * bx) (luma_bw - 1) and ly = Int.min (2 * by) (luma_bh - 1) in
+      Coeff.read_block_into r s.levels;
       match luma_modes.((ly * luma_bw) + lx) with
       | Inter vec ->
-        let prediction =
-          Motion.extract_predicted reference ~x ~y (Motion.chroma_vector vec)
-        in
-        Motion.store_block plane ~x ~y
-          (Block_codec.reconstruct_inter q Quant.Chroma ~prediction levels)
-      | Intra ->
-        Motion.store_block plane ~x ~y
-          (Block_codec.reconstruct_intra q Quant.Chroma levels)
+        Motion.predict reference ~x ~y (Motion.chroma_vector vec) s.prediction;
+        Block_codec.reconstruct_inter s.block q Quant.Chroma ~prediction:s.prediction
+          s.levels plane ~x ~y
+      | Intra -> Block_codec.reconstruct_intra s.block q Quant.Chroma s.levels plane ~x ~y
     done
   done
 
@@ -152,7 +158,7 @@ let extend_planes (p : Plane.ycbcr) =
 (* Decodes one frame from the reader's current (aligned) position into
    [planes], predicting from the edge-extended [reference] planes.
    Every block of [planes] is rewritten. *)
-let decode_frame_body r ~reference ~planes =
+let decode_frame_body s r ~reference ~planes =
   Bitio.Reader.align r;
   let obs_t0 = if Obs.enabled () then Obs.Clock.now_ns () else 0L in
   let obs_start_bits = Bitio.Reader.position_bits r in
@@ -162,16 +168,16 @@ let decode_frame_body r ~reference ~planes =
   let q = Quant.make ~qp in
   (match (Char.chr marker, reference) with
   | 'I', _ ->
-    decode_plane_intra r q Quant.Luma planes.Plane.y;
-    decode_plane_intra r q Quant.Chroma planes.Plane.cb;
-    decode_plane_intra r q Quant.Chroma planes.Plane.cr
+    decode_plane_intra s r q Quant.Luma planes.Plane.y;
+    decode_plane_intra s r q Quant.Chroma planes.Plane.cb;
+    decode_plane_intra s r q Quant.Chroma planes.Plane.cr
   | 'P', Some (ref_y, ref_cb, ref_cr) ->
     let luma_bw = planes.Plane.y.Plane.width / 8
     and luma_bh = planes.Plane.y.Plane.height / 8 in
-    let modes = decode_luma_p r q ~reference:ref_y planes.Plane.y in
-    decode_chroma_p r q ~luma_modes:modes ~luma_bw ~luma_bh
+    let modes = decode_luma_p s r q ~reference:ref_y planes.Plane.y in
+    decode_chroma_p s r q ~luma_modes:modes ~luma_bw ~luma_bh
       ~reference:ref_cb planes.Plane.cb;
-    decode_chroma_p r q ~luma_modes:modes ~luma_bw ~luma_bh
+    decode_chroma_p s r q ~luma_modes:modes ~luma_bw ~luma_bh
       ~reference:ref_cr planes.Plane.cr
   | 'P', None -> fail "P frame without reference"
   | _ -> fail "bad frame marker"
@@ -201,7 +207,15 @@ let decode_payload info payload body =
   | exception Bitio.Reader.Out_of_bits -> Error "truncated frame"
   | exception Invalid_argument msg -> Error msg
 
-let reference_of_raster raster = Plane.of_raster raster
+(* At the codec's padded geometry: padding replicates edges, which
+   prediction reads do anyway. *)
+let reference_of_raster raster =
+  let f =
+    Plane.create_ycbcr ~width:(Image.Raster.width raster)
+      ~height:(Image.Raster.height raster)
+  in
+  Plane.of_raster_into raster f;
+  f
 
 let raster_of_reference ~width ~height planes = Plane.to_raster ~width ~height planes
 
@@ -211,7 +225,8 @@ let raster_of_reference ~width ~height planes = Plane.to_raster ~width ~height p
 let decode_frame ~info ~reference payload =
   decode_payload info payload (fun r ->
       let planes = Plane.create_ycbcr ~width:info.info_width ~height:info.info_height in
-      decode_frame_body r ~reference:(Option.map extend_planes reference) ~planes;
+      decode_frame_body (scratch ()) r ~reference:(Option.map extend_planes reference)
+        ~planes;
       (raster_of_planes info planes, planes))
 
 (* One set of planes and one extended reference serve every frame: the
@@ -221,12 +236,19 @@ type cursor = {
   c_info : stream_info;
   planes : Plane.ycbcr;
   reference : Motion.reference * Motion.reference * Motion.reference;
+  scratch : scratch;
   mutable loaded : bool;  (* [planes] hold a picture to predict from *)
 }
 
 let cursor info =
   let planes = Plane.create_ycbcr ~width:info.info_width ~height:info.info_height in
-  { c_info = info; planes; reference = extend_planes planes; loaded = false }
+  {
+    c_info = info;
+    planes;
+    reference = extend_planes planes;
+    scratch = scratch ();
+    loaded = false;
+  }
 
 let resume c packed =
   Plane.unpack_into packed c.planes;
@@ -243,7 +265,7 @@ let step c r =
     end
     else None
   in
-  decode_frame_body r ~reference ~planes:c.planes;
+  decode_frame_body c.scratch r ~reference ~planes:c.planes;
   c.loaded <- true
 
 let advance c payload = decode_payload c.c_info payload (step c)

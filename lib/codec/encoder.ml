@@ -45,16 +45,42 @@ let write_header w ~width ~height ~fps ~frame_count (p : Stream.params) =
   Golomb.write_ue w p.Stream.qp;
   Golomb.write_ue w p.Stream.search_range
 
+(* The encoder's block buffers, reused for every block of a clip: the
+   current block, two inter candidates (prediction and levels) and the
+   intra levels. *)
+type scratch = {
+  block : Block_codec.scratch;
+  samples : int array;
+  pred_a : int array;
+  levels_a : int array;
+  pred_b : int array;
+  levels_b : int array;
+  intra_levels : int array;
+}
+
+let scratch () =
+  let buf () = Array.make 64 0 in
+  {
+    block = Block_codec.scratch ();
+    samples = buf ();
+    pred_a = buf ();
+    levels_a = buf ();
+    pred_b = buf ();
+    levels_b = buf ();
+    intra_levels = buf ();
+  }
+
 (* Codes one luma plane of a P frame and reconstructs it in place into
    [recon]; returns the per-block mode grid. *)
-let code_luma_p w q ~search_range ~(current : Plane.t) ~(reference : Motion.reference)
-    ~(recon : Plane.t) =
+let code_luma_p s w q ~search_range ~(current : Plane.t)
+    ~(reference : Motion.reference) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   let modes = Array.make (bw * bh) Intra in
+  let samples = s.samples in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
-      let samples = Motion.extract_block current ~x ~y in
+      Motion.extract_block current ~x ~y samples;
       (* Candidate 1: inter with the best motion vector, integer search
          then half-pel refinement. *)
       let searched =
@@ -75,88 +101,84 @@ let code_luma_p w q ~search_range ~(current : Plane.t) ~(reference : Motion.refe
       in
       (* SAD-best is not bits-best: evaluate the searched vector and the
          zero vector by exact bit cost, then compare with intra. *)
-      let inter_candidate vector =
-        let prediction = Motion.extract_predicted_halfpel reference ~x ~y vector in
-        let levels = Block_codec.code_inter q Quant.Luma ~samples ~prediction in
-        (1 + vector_cost vector + Coeff.bit_cost levels, vector, prediction, levels)
+      let inter_cost prediction levels vector =
+        Motion.predict_halfpel reference ~x ~y vector prediction;
+        Block_codec.code_inter s.block q Quant.Luma ~samples ~prediction levels;
+        1 + vector_cost vector + Coeff.bit_cost levels
       in
-      let inter_cost, vec, prediction, inter_levels =
-        let ((searched_cost, _, _, _) as searched_candidate) =
-          inter_candidate searched
-        in
-        if searched = Motion.zero then searched_candidate
-        else begin
-          let ((zero_cost, _, _, _) as zero_candidate) = inter_candidate Motion.zero in
-          if zero_cost < searched_cost then zero_candidate else searched_candidate
+      let searched_cost = inter_cost s.pred_a s.levels_a searched in
+      let zero_cost =
+        if searched.Motion.dx = 0 && searched.Motion.dy = 0 then max_int
+        else inter_cost s.pred_b s.levels_b Motion.zero
+      in
+      let vec, prediction, inter_levels, inter_cost =
+        if zero_cost < searched_cost then (Motion.zero, s.pred_b, s.levels_b, zero_cost)
+        else (searched, s.pred_a, s.levels_a, searched_cost)
+      in
+      (* Candidate 2: intra, unless its cost bound already loses: ties
+         go to inter. *)
+      let inter_wins =
+        inter_cost <= Block_codec.intra_cost_bound s.block q Quant.Luma samples
+        || begin
+          Block_codec.code_intra s.block q Quant.Luma samples s.intra_levels;
+          inter_cost <= 1 + Coeff.bit_cost s.intra_levels
         end
       in
-      (* Candidate 2: intra. *)
-      let intra_levels = Block_codec.code_intra q Quant.Luma samples in
-      let intra_cost = 1 + Coeff.bit_cost intra_levels in
-      if inter_cost <= intra_cost then begin
+      if inter_wins then begin
         modes.((by * bw) + bx) <- Inter vec;
         Golomb.write_ue w 0;
         Golomb.write_se w vec.Motion.dx;
         Golomb.write_se w vec.Motion.dy;
         Coeff.write_block w inter_levels;
-        Motion.store_block recon ~x ~y
-          (Block_codec.reconstruct_inter q Quant.Luma ~prediction inter_levels)
+        Block_codec.reconstruct_inter s.block q Quant.Luma ~prediction inter_levels
+          recon ~x ~y
       end
       else begin
         Golomb.write_ue w 1;
-        Coeff.write_block w intra_levels;
-        Motion.store_block recon ~x ~y
-          (Block_codec.reconstruct_intra q Quant.Luma intra_levels)
+        Coeff.write_block w s.intra_levels;
+        Block_codec.reconstruct_intra s.block q Quant.Luma s.intra_levels recon ~x ~y
       end
     done
   done;
   modes
 
-let code_plane_intra w q kind ~(current : Plane.t) ~(recon : Plane.t) =
+let code_plane_intra s w q kind ~(current : Plane.t) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
-      let samples = Motion.extract_block current ~x ~y in
-      let levels = Block_codec.code_intra q kind samples in
-      Coeff.write_block w levels;
-      Motion.store_block recon ~x ~y (Block_codec.reconstruct_intra q kind levels)
+      Motion.extract_block current ~x ~y s.samples;
+      Block_codec.code_intra s.block q kind s.samples s.intra_levels;
+      Coeff.write_block w s.intra_levels;
+      Block_codec.reconstruct_intra s.block q kind s.intra_levels recon ~x ~y
     done
   done
 
 (* Chroma of a P frame: mode and vector derived from the co-located
    luma block (top-left of the 16x16 luma area), so only the residual
    is written. *)
-let code_chroma_p w q ~luma_modes ~luma_bw ~luma_bh ~(current : Plane.t)
+let code_chroma_p s w q ~luma_modes ~luma_bw ~luma_bh ~(current : Plane.t)
     ~(reference : Motion.reference) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
+  let samples = s.samples and prediction = s.pred_a and levels = s.levels_a in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
-      let samples = Motion.extract_block current ~x ~y in
-      let lx = min (2 * bx) (luma_bw - 1) and ly = min (2 * by) (luma_bh - 1) in
+      Motion.extract_block current ~x ~y samples;
+      let lx = Int.min (2 * bx) (luma_bw - 1) and ly = Int.min (2 * by) (luma_bh - 1) in
       match luma_modes.((ly * luma_bw) + lx) with
       | Inter vec ->
-        let cvec = Motion.chroma_vector vec in
-        let prediction = Motion.extract_predicted reference ~x ~y cvec in
-        let levels = Block_codec.code_inter q Quant.Chroma ~samples ~prediction in
+        Motion.predict reference ~x ~y (Motion.chroma_vector vec) prediction;
+        Block_codec.code_inter s.block q Quant.Chroma ~samples ~prediction levels;
         Coeff.write_block w levels;
-        Motion.store_block recon ~x ~y
-          (Block_codec.reconstruct_inter q Quant.Chroma ~prediction levels)
+        Block_codec.reconstruct_inter s.block q Quant.Chroma ~prediction levels recon
+          ~x ~y
       | Intra ->
-        let levels = Block_codec.code_intra q Quant.Chroma samples in
+        Block_codec.code_intra s.block q Quant.Chroma samples levels;
         Coeff.write_block w levels;
-        Motion.store_block recon ~x ~y
-          (Block_codec.reconstruct_intra q Quant.Chroma levels)
+        Block_codec.reconstruct_intra s.block q Quant.Chroma levels recon ~x ~y
     done
   done
-
-let pad_ycbcr (f : Plane.ycbcr) =
-  {
-    Plane.y = Plane.pad_to_multiple f.Plane.y 8;
-    cb = Plane.pad_to_multiple f.Plane.cb 8;
-    cr = Plane.pad_to_multiple f.Plane.cr 8;
-  }
 
 let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
   if params.Stream.qp < 1 || params.Stream.qp > 31 then
@@ -182,9 +204,13 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
   and ref_cb = Motion.extend recon.Plane.cb
   and ref_cr = Motion.extend recon.Plane.cr in
   let references = Array.make frame_count (Plane.pack recon) in
+  let frame =
+    Plane.create_ycbcr ~width:clip.Video.Clip.width ~height:clip.Video.Clip.height
+  in
+  let s = scratch () in
   for i = 0 to frame_count - 1 do
     let obs_t0 = if Obs.enabled () then Obs.Clock.now_ns () else 0L in
-    let frame = pad_ycbcr (Plane.of_raster (clip.Video.Clip.render i)) in
+    Plane.of_raster_into (clip.Video.Clip.render i) frame;
     let is_i =
       (match i_frame_at with
       | Some predicate -> predicate i
@@ -205,21 +231,21 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     Bitio.Writer.put_byte_aligned w qp;
     (if is_i then begin
        frame_types.(i) <- Stream.I_frame;
-       code_plane_intra w q Quant.Luma ~current:frame.Plane.y ~recon:recon.Plane.y;
-       code_plane_intra w q Quant.Chroma ~current:frame.Plane.cb ~recon:recon.Plane.cb;
-       code_plane_intra w q Quant.Chroma ~current:frame.Plane.cr ~recon:recon.Plane.cr
+       code_plane_intra s w q Quant.Luma ~current:frame.Plane.y ~recon:recon.Plane.y;
+       code_plane_intra s w q Quant.Chroma ~current:frame.Plane.cb ~recon:recon.Plane.cb;
+       code_plane_intra s w q Quant.Chroma ~current:frame.Plane.cr ~recon:recon.Plane.cr
      end
      else begin
        frame_types.(i) <- Stream.P_frame;
        let luma_bw = frame.Plane.y.Plane.width / 8
        and luma_bh = frame.Plane.y.Plane.height / 8 in
        let modes =
-         code_luma_p w q ~search_range:params.Stream.search_range
+         code_luma_p s w q ~search_range:params.Stream.search_range
            ~current:frame.Plane.y ~reference:ref_y ~recon:recon.Plane.y
        in
-       code_chroma_p w q ~luma_modes:modes ~luma_bw ~luma_bh
+       code_chroma_p s w q ~luma_modes:modes ~luma_bw ~luma_bh
          ~current:frame.Plane.cb ~reference:ref_cb ~recon:recon.Plane.cb;
-       code_chroma_p w q ~luma_modes:modes ~luma_bw ~luma_bh
+       code_chroma_p s w q ~luma_modes:modes ~luma_bw ~luma_bh
          ~current:frame.Plane.cr ~reference:ref_cr ~recon:recon.Plane.cr
      end);
     Plane.clamp recon.Plane.y;

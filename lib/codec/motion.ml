@@ -14,16 +14,25 @@ type reference = {
   data : int array;
 }
 
+(* Plain loops, not [Array.blit]: the reference lives in the major
+   heap, where OCaml 5 blits an [int array] through the write barrier,
+   one [caml_modify] per element. *)
 let extend_into r (p : Plane.t) =
-  let w = p.Plane.width and h = p.Plane.height in
-  if w <> r.width || h <> r.height then
+  let w = p.Plane.width and h = p.Plane.height and s = p.Plane.samples in
+  if w <> r.width || h <> r.height || Array.length s <> w * h then
     invalid_arg "Motion.extend_into: dimension mismatch";
+  let d = r.data in
   for row = 0 to h + (2 * margin) - 1 do
-    let src = max 0 (min (h - 1) (row - margin)) * w in
+    let src = Int.max 0 (Int.min (h - 1) (row - margin)) * w in
     let dst = row * r.stride in
-    Array.fill r.data dst margin p.Plane.samples.(src);
-    Array.blit p.Plane.samples src r.data (dst + margin) w;
-    Array.fill r.data (dst + margin + w) margin p.Plane.samples.(src + w - 1)
+    let left = Array.unsafe_get s src and right = Array.unsafe_get s (src + w - 1) in
+    for i = 0 to margin - 1 do
+      Array.unsafe_set d (dst + i) left;
+      Array.unsafe_set d (dst + margin + w + i) right
+    done;
+    for i = 0 to w - 1 do
+      Array.unsafe_set d (dst + margin + i) (Array.unsafe_get s (src + i))
+    done
   done
 
 let extend (p : Plane.t) =
@@ -61,6 +70,9 @@ let clamp_halfpel d ~pos ~size =
 let check_block (p : Plane.t) ~x ~y =
   if x < 0 || y < 0 || x + block > p.Plane.width || y + block > p.Plane.height then
     invalid_arg "Motion: block outside the current plane"
+
+(* Unchecked reads, at callers that bound them. *)
+external get : int array -> int -> int = "%array_unsafe_get"
 
 (* Branch-free |a - b|: the sign mask of the difference flips and
    corrects it. *)
@@ -134,34 +146,27 @@ let search ?(range = 7) ~current ~reference ~x ~y () =
   done;
   ({ dx = !best_dx; dy = !best_dy }, !best_sad)
 
-let extract_block (p : Plane.t) ~x ~y =
+let check_out out =
+  if Array.length out <> block * block then invalid_arg "Motion: need a 64-sample block"
+
+let extract_block (p : Plane.t) ~x ~y out =
   check_block p ~x ~y;
-  let out = Array.create_float (block * block) in
+  check_out out;
   for by = 0 to block - 1 do
     let o = ((y + by) * p.Plane.width) + x in
     for bx = 0 to block - 1 do
-      out.((by * block) + bx) <- float_of_int p.Plane.samples.(o + bx)
+      Array.unsafe_set out ((by * block) + bx) p.Plane.samples.(o + bx)
     done
-  done;
-  out
+  done
 
-let extract_predicted r ~x ~y v =
+let predict r ~x ~y v out =
+  check_out out;
   let dx = clamp_integer v.dx ~pos:x ~size:r.width
   and dy = clamp_integer v.dy ~pos:y ~size:r.height in
-  let out = Array.create_float (block * block) in
   for by = 0 to block - 1 do
     let o = r.origin + ((y + by + dy) * r.stride) + x + dx in
     for bx = 0 to block - 1 do
-      out.((by * block) + bx) <- float_of_int r.data.(o + bx)
-    done
-  done;
-  out
-
-let store_block (p : Plane.t) ~x ~y samples =
-  for by = max 0 (-y) to min block (p.Plane.height - y) - 1 do
-    for bx = max 0 (-x) to min block (p.Plane.width - x) - 1 do
-      p.Plane.samples.(((y + by) * p.Plane.width) + x + bx) <-
-        int_of_float (Float.round samples.((by * block) + bx))
+      Array.unsafe_set out ((by * block) + bx) r.data.(o + bx)
     done
   done
 
@@ -169,46 +174,99 @@ let halve v = { dx = v.dx / 2; dy = v.dy / 2 }
 
 let to_halfpel v = { dx = 2 * v.dx; dy = 2 * v.dy }
 
-(* Bilinear sample with round-to-nearest averaging at index [i] of [d],
-   for fractional half-pel bits [fx], [fy]. *)
-let interpolate d i ~fx ~fy ~stride =
-  if fx = 0 then if fy = 0 then d.(i) else (d.(i) + d.(i + stride) + 1) / 2
-  else if fy = 0 then (d.(i) + d.(i + 1) + 1) / 2
-  else (d.(i) + d.(i + 1) + d.(i + stride) + d.(i + stride + 1) + 2) / 4
+(* A half-pel vector, pulled back, reads from the integer tap at
+   [halfpel_base] with horizontal and vertical fractional bits
+   [hx land 1] and [hy land 1]: half-pel position 2 * (x + bx) + hx
+   has integer part x + bx + (hx asr 1), floored for negative
+   vectors. Each interpolation kind then has its own loop, a bilinear
+   average rounded to nearest over one, two or four taps. *)
+let halfpel_base r ~x ~y ~hx ~hy =
+  r.origin + ((y + (hy asr 1)) * r.stride) + x + (hx asr 1)
 
-(* Index of the top-left integer tap for a half-pel displacement, with
-   its fractional bits. Half-pel position 2 * (x + bx) + hx has integer
-   part x + bx + (hx asr 1), floored for negative vectors. *)
-let halfpel_origin r ~x ~y v =
+(* The reads below are in bounds: [check_out] and the pull-back into
+   the margin, as for [row_sad]. *)
+let predict_halfpel r ~x ~y v out =
+  check_out out;
   let hx = clamp_halfpel v.dx ~pos:x ~size:r.width
   and hy = clamp_halfpel v.dy ~pos:y ~size:r.height in
-  (r.origin + ((y + (hy asr 1)) * r.stride) + x + (hx asr 1), hx land 1, hy land 1)
-
-let extract_predicted_halfpel r ~x ~y v =
-  let base, fx, fy = halfpel_origin r ~x ~y v in
-  let stride = r.stride and d = r.data in
-  let out = Array.create_float (block * block) in
-  for by = 0 to block - 1 do
-    let o = base + (by * stride) in
-    for bx = 0 to block - 1 do
-      out.((by * block) + bx) <- float_of_int (interpolate d (o + bx) ~fx ~fy ~stride)
+  let base = halfpel_base r ~x ~y ~hx ~hy and s = r.stride and d = r.data in
+  match (hx land 1, hy land 1) with
+  | 0, 0 ->
+    for by = 0 to block - 1 do
+      let o = base + (by * s) and k = by * block in
+      for bx = 0 to block - 1 do
+        Array.unsafe_set out (k + bx) (get d (o + bx))
+      done
     done
-  done;
-  out
+  | 1, 0 ->
+    for by = 0 to block - 1 do
+      let o = base + (by * s) and k = by * block in
+      for bx = 0 to block - 1 do
+        let i = o + bx in
+        Array.unsafe_set out (k + bx) ((get d i + get d (i + 1) + 1) / 2)
+      done
+    done
+  | 0, _ ->
+    for by = 0 to block - 1 do
+      let o = base + (by * s) and k = by * block in
+      for bx = 0 to block - 1 do
+        let i = o + bx in
+        Array.unsafe_set out (k + bx) ((get d i + get d (i + s) + 1) / 2)
+      done
+    done
+  | _ ->
+    for by = 0 to block - 1 do
+      let o = base + (by * s) and k = by * block in
+      for bx = 0 to block - 1 do
+        let i = o + bx in
+        Array.unsafe_set out (k + bx)
+          ((get d i + get d (i + 1) + get d (i + s) + get d (i + s + 1) + 2) / 4)
+      done
+    done
 
 let sad_halfpel ~bound (current : Plane.t) r ~x ~y v =
   check_block current ~x ~y;
-  let base, fx, fy = halfpel_origin r ~x ~y v in
+  let hx = clamp_halfpel v.dx ~pos:x ~size:r.width
+  and hy = clamp_halfpel v.dy ~pos:y ~size:r.height in
+  let base = halfpel_base r ~x ~y ~hx ~hy and s = r.stride and d = r.data in
   let c = current.Plane.samples and cw = current.Plane.width in
-  let stride = r.stride and d = r.data in
   let acc = ref 0 and by = ref 0 in
-  while !by < block && !acc <= bound do
-    let co = ((y + !by) * cw) + x and ro = base + (!by * stride) in
-    for bx = 0 to block - 1 do
-      acc := !acc + absdiff c.(co + bx) (interpolate d (ro + bx) ~fx ~fy ~stride)
-    done;
-    incr by
-  done;
+  (match (hx land 1, hy land 1) with
+  | 0, 0 ->
+    while !by < block && !acc <= bound do
+      acc := !acc + row_sad c (((y + !by) * cw) + x) d (base + (!by * s));
+      incr by
+    done
+  | 1, 0 ->
+    while !by < block && !acc <= bound do
+      let co = ((y + !by) * cw) + x and ro = base + (!by * s) in
+      for bx = 0 to block - 1 do
+        let i = ro + bx in
+        acc := !acc + absdiff (get c (co + bx)) ((get d i + get d (i + 1) + 1) / 2)
+      done;
+      incr by
+    done
+  | 0, _ ->
+    while !by < block && !acc <= bound do
+      let co = ((y + !by) * cw) + x and ro = base + (!by * s) in
+      for bx = 0 to block - 1 do
+        let i = ro + bx in
+        acc := !acc + absdiff (get c (co + bx)) ((get d i + get d (i + s) + 1) / 2)
+      done;
+      incr by
+    done
+  | _ ->
+    while !by < block && !acc <= bound do
+      let co = ((y + !by) * cw) + x and ro = base + (!by * s) in
+      for bx = 0 to block - 1 do
+        let i = ro + bx in
+        acc :=
+          !acc
+          + absdiff (get c (co + bx))
+              ((get d i + get d (i + 1) + get d (i + s) + get d (i + s + 1) + 2) / 4)
+      done;
+      incr by
+    done);
   !acc
 
 (* Strict improvement only: the centre wins every tie. *)

@@ -51,16 +51,15 @@ val search :
     is the least SAD, then the least [|dx| + |dy|], then the first in
     raster order ([dy], then [dx], ascending). *)
 
-val extract_block : Plane.t -> x:int -> y:int -> float array
-(** 8x8 block as floats. The block must lie inside the plane; raises
-    [Invalid_argument] otherwise. *)
+val extract_block : Plane.t -> x:int -> y:int -> int array -> unit
+(** [extract_block p ~x ~y out] writes the 8x8 block of [p] at
+    [(x, y)] into [out], row-major. The block must lie inside the plane
+    and [out] must have 64 entries; raises [Invalid_argument]
+    otherwise. *)
 
-val extract_predicted : reference -> x:int -> y:int -> vector -> float array
-(** Reference block displaced by a vector, as floats. *)
-
-val store_block : Plane.t -> x:int -> y:int -> float array -> unit
-(** Rounds, then writes the 8x8 block; samples falling outside the
-    plane are dropped (blocks may overhang padded edges). *)
+val predict : reference -> x:int -> y:int -> vector -> int array -> unit
+(** [predict r ~x ~y v out] writes the reference block displaced by an
+    integer-pel vector into [out]. *)
 
 val halve : vector -> vector
 (** Chroma vector: arithmetic halving towards zero. *)
@@ -76,9 +75,10 @@ val to_halfpel : vector -> vector
 (** [to_halfpel v] converts an integer-pel vector to half-pel units
     (doubles both components). *)
 
-val extract_predicted_halfpel : reference -> x:int -> y:int -> vector -> float array
-(** Reference block displaced by a *half-pel* vector, bilinearly
-    interpolated, as floats. *)
+val predict_halfpel : reference -> x:int -> y:int -> vector -> int array -> unit
+(** [predict_halfpel r ~x ~y v out] writes the reference block
+    displaced by a *half-pel* vector, bilinearly interpolated, into
+    [out]. *)
 
 val sad_halfpel :
   bound:int -> Plane.t -> reference -> x:int -> y:int -> vector -> int

@@ -23,63 +23,11 @@ let clamp p =
 
 let copy p = { p with samples = Array.copy p.samples }
 
-let pad_to_multiple p m =
-  if m <= 0 then invalid_arg "Plane.pad_to_multiple: bad multiple";
-  let round v = (v + m - 1) / m * m in
-  let w = round p.width and h = round p.height in
-  if w = p.width && h = p.height then p
-  else begin
-    let out = create ~width:w ~height:h in
-    for y = 0 to h - 1 do
-      let src = clamp_coord y p.height * p.width in
-      Array.blit p.samples src out.samples (y * w) p.width;
-      Array.fill out.samples ((y * w) + p.width) (w - p.width)
-        p.samples.(src + p.width - 1)
-    done;
-    out
-  end
-
 let equal a b = a.width = b.width && a.height = b.height && a.samples = b.samples
 
 type ycbcr = { y : t; cb : t; cr : t }
 
 let chroma_dim d = (d + 1) / 2
-
-(* Integer BT.601 full-range conversion, reading and writing the
-   raster's RGB bytes directly. Chroma is the truncated mean of each
-   2x2 site's per-pixel chroma (fewer pixels at odd right and bottom
-   edges). *)
-let of_raster img =
-  let w = Image.Raster.width img and h = Image.Raster.height img in
-  let rgb = Image.Raster.data img in
-  let cw = chroma_dim w and ch = chroma_dim h in
-  let yp = create ~width:w ~height:h in
-  let cbp = create ~width:cw ~height:ch in
-  let crp = create ~width:cw ~height:ch in
-  for y = 0 to h - 1 do
-    let crow = (y / 2) * cw in
-    for x = 0 to w - 1 do
-      let o = 3 * ((y * w) + x) in
-      let r = Char.code (Bytes.unsafe_get rgb o)
-      and g = Char.code (Bytes.unsafe_get rgb (o + 1))
-      and b = Char.code (Bytes.unsafe_get rgb (o + 2)) in
-      yp.samples.((y * w) + x) <- ((19595 * r) + (38470 * g) + (7471 * b) + 32768) lsr 16;
-      let ci = crow + (x / 2) in
-      cbp.samples.(ci) <-
-        cbp.samples.(ci) + 128 + (((-11056 * r) - (21712 * g) + (32768 * b)) asr 16);
-      crp.samples.(ci) <-
-        crp.samples.(ci) + 128 + (((32768 * r) - (27440 * g) - (5328 * b)) asr 16)
-    done
-  done;
-  for cy = 0 to ch - 1 do
-    for cx = 0 to cw - 1 do
-      let count = min 2 (w - (2 * cx)) * min 2 (h - (2 * cy)) in
-      let ci = (cy * cw) + cx in
-      cbp.samples.(ci) <- cbp.samples.(ci) / count;
-      crp.samples.(ci) <- crp.samples.(ci) / count
-    done
-  done;
-  { y = yp; cb = cbp; cr = crp }
 
 let clamp255 v = if v < 0 then 0 else if v > 255 then 255 else v
 
@@ -92,6 +40,74 @@ let create_ycbcr ~width ~height =
     cb = create ~width:cw ~height:ch;
     cr = create ~width:cw ~height:ch;
   }
+
+(* Edge replication of a [width] x [height] picture out to the whole
+   plane: the columns right of it repeat its last column, the rows
+   below it its last row. Plain loops: see [Motion.extend_into]. *)
+let replicate_edges p ~width ~height =
+  let s = p.samples and pw = p.width in
+  for y = 0 to height - 1 do
+    let o = y * pw in
+    let last = s.(o + width - 1) in
+    for x = width to pw - 1 do
+      s.(o + x) <- last
+    done
+  done;
+  let last_row = (height - 1) * pw in
+  for y = height to p.height - 1 do
+    let o = y * pw in
+    for x = 0 to pw - 1 do
+      s.(o + x) <- s.(last_row + x)
+    done
+  done
+
+(* Integer BT.601 full-range conversion, reading the raster's RGB bytes
+   directly, one 2x2 chroma site at a time: each site's luma samples,
+   then the truncated mean of their per-pixel chroma (fewer pixels at
+   odd right and bottom edges). *)
+let of_raster_into img f =
+  let w = Image.Raster.width img and h = Image.Raster.height img in
+  let cw = chroma_dim w and ch = chroma_dim h in
+  let { y = yp; cb = cbp; cr = crp } = f in
+  if
+    yp.width <> padded w || yp.height <> padded h
+    || cbp.width <> padded cw || cbp.height <> padded ch
+    || crp.width <> padded cw || crp.height <> padded ch
+    || Array.length yp.samples <> yp.width * yp.height
+    || Array.length cbp.samples <> cbp.width * cbp.height
+    || Array.length crp.samples <> crp.width * crp.height
+  then invalid_arg "Plane.of_raster_into: planes do not match the picture";
+  let rgb = Image.Raster.data img in
+  let ys = yp.samples and yw = yp.width and cs = cbp.width in
+  (* In bounds: the planes were checked against the picture above, and
+     the raster holds 3 * w * h bytes. *)
+  for cy = 0 to ch - 1 do
+    let sites_y = Int.min 2 (h - (2 * cy)) in
+    for cx = 0 to cw - 1 do
+      let sites_x = Int.min 2 (w - (2 * cx)) in
+      let cb = ref 0 and cr = ref 0 in
+      for dy = 0 to sites_y - 1 do
+        let y = (2 * cy) + dy in
+        for dx = 0 to sites_x - 1 do
+          let x = (2 * cx) + dx in
+          let o = 3 * ((y * w) + x) in
+          let r = Char.code (Bytes.unsafe_get rgb o)
+          and g = Char.code (Bytes.unsafe_get rgb (o + 1))
+          and b = Char.code (Bytes.unsafe_get rgb (o + 2)) in
+          Array.unsafe_set ys ((y * yw) + x)
+            (((19595 * r) + (38470 * g) + (7471 * b) + 32768) lsr 16);
+          cb := !cb + 128 + (((-11056 * r) - (21712 * g) + (32768 * b)) asr 16);
+          cr := !cr + 128 + (((32768 * r) - (27440 * g) - (5328 * b)) asr 16)
+        done
+      done;
+      let count = sites_x * sites_y and ci = (cy * cs) + cx in
+      Array.unsafe_set cbp.samples ci (!cb / count);
+      Array.unsafe_set crp.samples ci (!cr / count)
+    done
+  done;
+  replicate_edges yp ~width:w ~height:h;
+  replicate_edges cbp ~width:cw ~height:ch;
+  replicate_edges crp ~width:cw ~height:ch
 
 let ycbcr_samples ~width ~height =
   (padded width * padded height)

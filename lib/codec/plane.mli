@@ -22,11 +22,6 @@ val clamp : t -> unit
 
 val copy : t -> t
 
-val pad_to_multiple : t -> int -> t
-(** [pad_to_multiple p m] extends the plane to dimensions that are
-    multiples of [m] by edge replication; returns [p] itself if it is
-    already aligned. *)
-
 val equal : t -> t -> bool
 
 type ycbcr = { y : t; cb : t; cr : t }
@@ -35,12 +30,14 @@ type ycbcr = { y : t; cb : t; cr : t }
 
 val create_ycbcr : width:int -> height:int -> ycbcr
 (** [create_ycbcr ~width ~height] is zeroed planes for a [width] x
-    [height] picture, each padded to a multiple of 8 — the codec's
-    working geometry, as {!pad_to_multiple} gives for each plane of
-    {!of_raster}. *)
+    [height] picture, each padded to a multiple of 8: the codec's
+    working geometry. *)
 
-val of_raster : Image.Raster.t -> ycbcr
-(** BT.601 conversion with 2x2 chroma averaging. *)
+val of_raster_into : Image.Raster.t -> ycbcr -> unit
+(** [of_raster_into img f] overwrites [f], which must have the geometry
+    of [create_ycbcr] for [img]'s size, with [img] in BT.601 YCbCr:
+    2x2 chroma averaging, then every plane edge-replicated out to its
+    padded size. Raises [Invalid_argument] on a geometry mismatch. *)
 
 type packed
 (** The samples of a {!ycbcr} at one byte each: luma, then Cb, then Cr,

@@ -7,8 +7,3 @@ val scan_order : int array
     in zig-zag order; a permutation of [0..63] starting at the DC
     term. *)
 
-val forward : int array -> int array
-(** Reorders 64 row-major levels into zig-zag order. *)
-
-val inverse : int array -> int array
-(** Restores row-major order; [inverse (forward a) = a]. *)

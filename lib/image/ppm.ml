@@ -10,71 +10,8 @@ let to_string img =
     img;
   Buffer.contents buf
 
-exception Malformed of string
-
-let parse data =
-  let pos = ref 0 in
-  let len = String.length data in
-  let peek () = if !pos >= len then raise (Malformed "truncated header") else data.[!pos] in
-  let advance () = incr pos in
-  let rec skip_space_and_comments () =
-    if !pos < len then
-      match peek () with
-      | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_space_and_comments ()
-      | '#' ->
-        while !pos < len && peek () <> '\n' do
-          advance ()
-        done;
-        skip_space_and_comments ()
-      | _ -> ()
-  in
-  let token () =
-    skip_space_and_comments ();
-    let start = !pos in
-    while !pos < len && not (List.mem (peek ()) [ ' '; '\t'; '\n'; '\r' ]) do
-      advance ()
-    done;
-    if !pos = start then raise (Malformed "missing header token");
-    String.sub data start (!pos - start)
-  in
-  if token () <> "P6" then raise (Malformed "not a binary PPM (P6)");
-  let int_token name =
-    match int_of_string_opt (token ()) with
-    | Some v when v > 0 -> v
-    | Some _ | None -> raise (Malformed ("bad " ^ name))
-  in
-  let width = int_token "width" in
-  let height = int_token "height" in
-  let maxval = int_token "maxval" in
-  if maxval <> 255 then raise (Malformed "only maxval 255 supported");
-  (* Exactly one whitespace byte separates the header from the pixels. *)
-  if !pos >= len then raise (Malformed "truncated header");
-  advance ();
-  if len - !pos < width * height * 3 then raise (Malformed "truncated pixel data");
-  let base = !pos in
-  Raster.init ~width ~height (fun ~x ~y ->
-      let o = base + (((y * width) + x) * 3) in
-      Pixel.v (Char.code data.[o]) (Char.code data.[o + 1]) (Char.code data.[o + 2]))
-
-let of_string data =
-  match parse data with
-  | img -> Ok img
-  | exception Malformed msg -> Error msg
-
 let write ~path img =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string img))
-
-let read ~path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        of_string (really_input_string ic n))

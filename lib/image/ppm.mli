@@ -1,20 +1,13 @@
-(** PPM (P6) image file I/O.
+(** PPM (P6) image output.
 
     The one image format that needs no dependency: binary PPM, readable
     by every viewer and converter. Used by the tools to dump frames and
-    camera snapshots (e.g. the Fig 4 pair) for visual inspection. *)
+    camera snapshots (e.g. the Fig 4 pair) for visual inspection. Nothing
+    reads images back, so there is no parser. *)
 
 val to_string : Raster.t -> string
 (** [to_string img] is the binary P6 serialisation of [img]. *)
 
-val of_string : string -> (Raster.t, string) result
-(** [of_string data] parses a binary P6 file (maxval 255, comments
-    allowed in the header). Malformed input yields [Error]. *)
-
 val write : path:string -> Raster.t -> unit
 (** [write ~path img] writes the P6 file, truncating any existing
     file. Raises [Sys_error] on I/O failure. *)
-
-val read : path:string -> (Raster.t, string) result
-(** [read ~path] loads a P6 file. I/O failures are reported as
-    [Error], not exceptions. *)

@@ -5,6 +5,181 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
+(* --- Allocating reference forms --------------------------------------- *)
+
+(* The codec's kernels write into buffers their caller owns and skip
+   arithmetic that cannot change a bit. These are the straightforward
+   allocating forms they replaced, kept here as the bitwise
+   specification: the DCT as the textbook triple loop, quantisation
+   through [Float.round], the block coder and the plane conversion as
+   first written. *)
+
+(* The separable transform as first written: each matrix entry read
+   through a closure over the nested cosine table. *)
+let closure_dct matrix_row block =
+  let n = 8 in
+  let tmp = Array.make 64 0. in
+  for y = 0 to n - 1 do
+    for u = 0 to n - 1 do
+      let acc = ref 0. in
+      for x = 0 to n - 1 do
+        acc := !acc +. (matrix_row u x *. block.((y * n) + x))
+      done;
+      tmp.((y * n) + u) <- !acc
+    done
+  done;
+  let out = Array.make 64 0. in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      let acc = ref 0. in
+      for y = 0 to n - 1 do
+        acc := !acc +. (matrix_row v y *. tmp.((y * n) + u))
+      done;
+      out.((v * n) + u) <- !acc
+    done
+  done;
+  out
+
+let cosine =
+  Array.init 8 (fun u ->
+      let alpha = if u = 0 then sqrt (1. /. 8.) else sqrt (2. /. 8.) in
+      Array.init 8 (fun x ->
+          alpha
+          *. cos (((2. *. float_of_int x) +. 1.) *. float_of_int u *. Float.pi /. 16.)))
+
+module Ref = struct
+  let forward block = closure_dct (fun u x -> cosine.(u).(x)) block
+
+  let inverse coeffs = closure_dct (fun u x -> cosine.(x).(u)) coeffs
+
+  (* The step matrix, exactly: dequantising a level of 1 multiplies
+     each step by 1. *)
+  let steps q kind =
+    let s = Array.create_float 64 in
+    Codec.Quant.dequantise_into q kind (Array.make 64 1) s;
+    s
+
+  let quantise q kind coeffs =
+    let s = steps q kind in
+    Array.init 64 (fun i -> int_of_float (Float.round (coeffs.(i) /. s.(i))))
+
+  let dequantise q kind levels =
+    let s = steps q kind in
+    Array.init 64 (fun i -> float_of_int levels.(i) *. s.(i))
+
+  let code_intra q kind samples =
+    quantise q kind (forward (Array.map (fun v -> v -. 128.) samples))
+
+  let reconstruct_intra q kind levels =
+    Array.map (fun v -> v +. 128.) (inverse (dequantise q kind levels))
+
+  let code_inter q kind ~samples ~prediction =
+    quantise q kind (forward (Array.map2 ( -. ) samples prediction))
+
+  let reconstruct_inter q kind ~prediction levels =
+    Array.map2 ( +. ) prediction (inverse (dequantise q kind levels))
+
+  (* Rounds, then writes the 8x8 block into the plane. *)
+  let store_block (p : Codec.Plane.t) ~x ~y samples =
+    for by = 0 to 7 do
+      for bx = 0 to 7 do
+        p.Codec.Plane.samples.(((y + by) * p.Codec.Plane.width) + x + bx) <-
+          int_of_float (Float.round samples.((by * 8) + bx))
+      done
+    done
+
+  let zigzag_forward a = Array.init 64 (fun k -> a.(Codec.Zigzag.scan_order.(k)))
+
+  let zigzag_inverse a =
+    let out = Array.make 64 0 in
+    Array.iteri (fun k v -> out.(Codec.Zigzag.scan_order.(k)) <- v) a;
+    out
+
+  let chroma_dim d = (d + 1) / 2
+
+  (* BT.601 into display-size planes, chroma summed per 2x2 site. *)
+  let of_raster img =
+    let w = Image.Raster.width img and h = Image.Raster.height img in
+    let rgb = Image.Raster.data img in
+    let cw = chroma_dim w and ch = chroma_dim h in
+    let yp = Codec.Plane.create ~width:w ~height:h in
+    let cbp = Codec.Plane.create ~width:cw ~height:ch in
+    let crp = Codec.Plane.create ~width:cw ~height:ch in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let o = 3 * ((y * w) + x) in
+        let r = Char.code (Bytes.get rgb o)
+        and g = Char.code (Bytes.get rgb (o + 1))
+        and b = Char.code (Bytes.get rgb (o + 2)) in
+        yp.Codec.Plane.samples.((y * w) + x) <-
+          ((19595 * r) + (38470 * g) + (7471 * b) + 32768) lsr 16;
+        let ci = ((y / 2) * cw) + (x / 2) in
+        cbp.Codec.Plane.samples.(ci) <-
+          cbp.Codec.Plane.samples.(ci) + 128
+          + (((-11056 * r) - (21712 * g) + (32768 * b)) asr 16);
+        crp.Codec.Plane.samples.(ci) <-
+          crp.Codec.Plane.samples.(ci) + 128
+          + (((32768 * r) - (27440 * g) - (5328 * b)) asr 16)
+      done
+    done;
+    for cy = 0 to ch - 1 do
+      for cx = 0 to cw - 1 do
+        let count = min 2 (w - (2 * cx)) * min 2 (h - (2 * cy)) in
+        let ci = (cy * cw) + cx in
+        cbp.Codec.Plane.samples.(ci) <- cbp.Codec.Plane.samples.(ci) / count;
+        crp.Codec.Plane.samples.(ci) <- crp.Codec.Plane.samples.(ci) / count
+      done
+    done;
+    { Codec.Plane.y = yp; cb = cbp; cr = crp }
+
+  (* Edge replication out to multiples of [m]; the plane itself when it
+     is already aligned. *)
+  let pad_to_multiple (p : Codec.Plane.t) m =
+    let round v = (v + m - 1) / m * m in
+    let w = round p.Codec.Plane.width and h = round p.Codec.Plane.height in
+    if w = p.Codec.Plane.width && h = p.Codec.Plane.height then p
+    else begin
+      let out = Codec.Plane.create ~width:w ~height:h in
+      for y = 0 to h - 1 do
+        for x = 0 to w - 1 do
+          Codec.Plane.set out ~x ~y (Codec.Plane.get p ~x ~y)
+        done
+      done;
+      out
+    end
+end
+
+let floats = Array.map float_of_int
+
+(* The kernels, through allocating wrappers. *)
+let dct_forward block =
+  let out = Array.create_float 64 in
+  Codec.Dct.forward_into block out;
+  out
+
+let dct_inverse coeffs =
+  let out = Array.copy coeffs in
+  Codec.Dct.inverse_in_place out ~work:(Array.create_float 64);
+  out
+
+let quantise q kind coeffs =
+  let levels = Array.make 64 0 in
+  Codec.Quant.quantise_into q kind coeffs levels;
+  levels
+
+let dequantise q kind levels =
+  let coeffs = Array.create_float 64 in
+  Codec.Quant.dequantise_into q kind levels coeffs;
+  coeffs
+
+let of_raster img =
+  let f =
+    Codec.Plane.create_ycbcr ~width:(Image.Raster.width img)
+      ~height:(Image.Raster.height img)
+  in
+  Codec.Plane.of_raster_into img f;
+  f
+
 (* --- Bitio ------------------------------------------------------------ *)
 
 let test_bitio_single_bits () =
@@ -116,7 +291,7 @@ let test_zigzag_starts_at_dc () =
 let prop_zigzag_roundtrip =
   QCheck2.Test.make ~name:"zigzag inverse . forward = id"
     QCheck2.Gen.(array_size (return 64) (-100 -- 100))
-    (fun a -> Codec.Zigzag.inverse (Codec.Zigzag.forward a) = a)
+    (fun a -> Ref.zigzag_inverse (Ref.zigzag_forward a) = a)
 
 (* --- Dct -------------------------------------------------------------- *)
 
@@ -126,14 +301,14 @@ let random_block seed =
 
 let test_dct_roundtrip_accuracy () =
   let block = random_block 1 in
-  let back = Codec.Dct.inverse (Codec.Dct.forward block) in
+  let back = dct_inverse (dct_forward block) in
   Array.iteri
     (fun i v -> check bool (Printf.sprintf "sample %d" i) true (abs_float (v -. block.(i)) < 1e-9))
     back
 
 let test_dct_dc_of_flat_block () =
   let block = Array.make 64 100. in
-  let coeffs = Codec.Dct.forward block in
+  let coeffs = dct_forward block in
   (* Orthonormal DCT: DC = 8 * sample value for a flat block. *)
   check (Alcotest.float 1e-6) "dc" 800. coeffs.(0);
   for i = 1 to 63 do
@@ -143,13 +318,13 @@ let test_dct_dc_of_flat_block () =
 let test_dct_parseval () =
   (* Orthonormality: energy is preserved. *)
   let block = random_block 2 in
-  let coeffs = Codec.Dct.forward block in
+  let coeffs = dct_forward block in
   let energy a = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. a in
   check (Alcotest.float 1e-6) "energy preserved" (energy block) (energy coeffs)
 
 let test_dct_bad_size () =
   Alcotest.check_raises "wrong size" (Invalid_argument "Dct: block must have 64 samples")
-    (fun () -> ignore (Codec.Dct.forward [| 1. |]))
+    (fun () -> Codec.Dct.forward_into [| 1. |] (Array.create_float 64))
 
 (* --- Quant ------------------------------------------------------------ *)
 
@@ -157,12 +332,12 @@ let test_quant_zero_preserved () =
   let q = Codec.Quant.make ~qp:8 in
   let zeros = Array.make 64 0. in
   Alcotest.(check (array int)) "zeros stay zero" (Array.make 64 0)
-    (Codec.Quant.quantise q Codec.Quant.Luma zeros)
+    (quantise q Codec.Quant.Luma zeros)
 
 let test_quant_coarser_at_higher_qp () =
   let coeffs = random_block 3 in
   let nnz qp =
-    Codec.Quant.quantise (Codec.Quant.make ~qp) Codec.Quant.Luma coeffs
+    quantise (Codec.Quant.make ~qp) Codec.Quant.Luma coeffs
     |> Array.to_list
     |> List.filter (fun l -> l <> 0)
     |> List.length
@@ -172,8 +347,8 @@ let test_quant_coarser_at_higher_qp () =
 let test_quant_dequant_bounded_error () =
   let q = Codec.Quant.make ~qp:8 in
   let coeffs = random_block 4 in
-  let levels = Codec.Quant.quantise q Codec.Quant.Luma coeffs in
-  let back = Codec.Quant.dequantise q Codec.Quant.Luma levels in
+  let levels = quantise q Codec.Quant.Luma coeffs in
+  let back = dequantise q Codec.Quant.Luma levels in
   (* Error per coefficient is at most half the quantisation step;
      the largest step at qp 8 is 121. *)
   Array.iteri
@@ -190,7 +365,11 @@ let test_quant_invalid_qp () =
 let roundtrip_block levels =
   let w = Codec.Bitio.Writer.create () in
   Codec.Coeff.write_block w levels;
-  Codec.Coeff.read_block (Codec.Bitio.Reader.of_string (Codec.Bitio.Writer.contents w))
+  let levels = Array.make 64 0 in
+  Codec.Coeff.read_block_into
+    (Codec.Bitio.Reader.of_string (Codec.Bitio.Writer.contents w))
+    levels;
+  levels
 
 let test_coeff_all_zero_block () =
   let zeros = Array.make 64 0 in
@@ -225,24 +404,33 @@ let test_plane_edge_clamped_reads () =
   check int "overflow clamps" 9 (Codec.Plane.get p ~x:10 ~y:10)
 
 let test_plane_pad_and_crop () =
-  let p = Codec.Plane.create ~width:5 ~height:3 in
-  Codec.Plane.set p ~x:4 ~y:2 42;
-  let padded = Codec.Plane.pad_to_multiple p 8 in
-  check int "padded width" 8 padded.Codec.Plane.width;
-  check int "padded height" 8 padded.Codec.Plane.height;
-  check int "edge replicated" 42 (Codec.Plane.get padded ~x:7 ~y:7)
+  (* A 5x3 picture converts into planes padded to 8x8, its last column
+     and row replicated out; the crop back gives the picture's size. *)
+  let img = Image.Raster.create ~width:5 ~height:3 in
+  Image.Raster.set img ~x:4 ~y:2 (Image.Pixel.gray 42);
+  let f = of_raster img in
+  let luma = f.Codec.Plane.y in
+  check int "padded width" 8 luma.Codec.Plane.width;
+  check int "padded height" 8 luma.Codec.Plane.height;
+  check int "edge replicated" 42 (Codec.Plane.get luma ~x:7 ~y:7);
+  let back = Codec.Plane.to_raster ~width:5 ~height:3 f in
+  check int "cropped width" 5 (Image.Raster.width back);
+  check int "cropped height" 3 (Image.Raster.height back)
 
 let test_plane_pad_identity_when_aligned () =
-  let p = Codec.Plane.create ~width:8 ~height:16 in
-  check bool "no-op pad is physical identity" true
-    (Codec.Plane.pad_to_multiple p 8 == p)
+  (* An aligned picture needs no padding: the planes have its size. *)
+  let f = Codec.Plane.create_ycbcr ~width:8 ~height:16 in
+  check int "luma width" 8 f.Codec.Plane.y.Codec.Plane.width;
+  check int "luma height" 16 f.Codec.Plane.y.Codec.Plane.height;
+  check int "chroma width" 8 f.Codec.Plane.cb.Codec.Plane.width;
+  check int "chroma height" 8 f.Codec.Plane.cb.Codec.Plane.height
 
 let test_plane_ycbcr_gray_roundtrip () =
   (* Grays survive the colour transform exactly. *)
   let img = Image.Raster.init ~width:8 ~height:8 (fun ~x ~y ->
       Image.Pixel.gray ((x + (y * 8)) * 4 mod 256))
   in
-  let back = Codec.Plane.to_raster (Codec.Plane.of_raster img) in
+  let back = Codec.Plane.to_raster (of_raster img) in
   check bool "gray image round-trips" true
     (Image.Metrics.max_absolute_error img back <= 1)
 
@@ -252,13 +440,13 @@ let test_plane_ycbcr_color_bounded () =
       Image.Pixel.v (Image.Prng.int rng 256) (Image.Prng.int rng 256)
         (Image.Prng.int rng 256))
   in
-  let back = Codec.Plane.to_raster (Codec.Plane.of_raster img) in
+  let back = Codec.Plane.to_raster (of_raster img) in
   (* Chroma subsampling loses high-frequency colour, so compare
      luminance, which is carried at full resolution. *)
   let y_err =
     Codec.Plane.mean_absolute_difference
-      (Codec.Plane.of_raster img).Codec.Plane.y
-      (Codec.Plane.of_raster back).Codec.Plane.y
+      (of_raster img).Codec.Plane.y
+      (of_raster back).Codec.Plane.y
   in
   check bool "luma nearly preserved" true (y_err < 3.)
 
@@ -320,9 +508,10 @@ let test_motion_halfpel_integer_positions_exact () =
   let v_int = { Codec.Motion.dx = 2; dy = -1 } in
   let v_half = Codec.Motion.to_halfpel v_int in
   let r = Codec.Motion.extend p in
-  check bool "same block" true
-    (Codec.Motion.extract_predicted r ~x:8 ~y:8 v_int
-    = Codec.Motion.extract_predicted_halfpel r ~x:8 ~y:8 v_half)
+  let integer = Array.make 64 0 and half = Array.make 64 0 in
+  Codec.Motion.predict r ~x:8 ~y:8 v_int integer;
+  Codec.Motion.predict_halfpel r ~x:8 ~y:8 v_half half;
+  check bool "same block" true (integer = half)
 
 let test_motion_halfpel_interpolates () =
   (* A horizontal ramp: the half-pel sample between columns is their
@@ -333,12 +522,11 @@ let test_motion_halfpel_interpolates () =
       Codec.Plane.set p ~x ~y (x * 10)
     done
   done;
-  let block =
-    Codec.Motion.extract_predicted_halfpel (Codec.Motion.extend p) ~x:4 ~y:4
-      { Codec.Motion.dx = 1; dy = 0 }
-  in
+  let block = Array.make 64 0 in
+  Codec.Motion.predict_halfpel (Codec.Motion.extend p) ~x:4 ~y:4
+    { Codec.Motion.dx = 1; dy = 0 } block;
   (* Sample at (4.5, 4): average of 40 and 50. *)
-  check (Alcotest.float 1e-9) "bilinear midpoint" 45. block.(0)
+  check int "bilinear midpoint" 45 block.(0)
 
 let test_motion_halfpel_refinement_wins_on_subpel_shift () =
   (* Content shifted by half a pixel: the refined vector must beat the
@@ -376,10 +564,12 @@ let test_motion_chroma_vector () =
 
 let test_motion_extract_store_roundtrip () =
   let p = textured_plane 9 in
-  let block = Codec.Motion.extract_block p ~x:8 ~y:16 in
+  let block = Array.make 64 0 in
+  Codec.Motion.extract_block p ~x:8 ~y:16 block;
   let q = Codec.Plane.create ~width:32 ~height:32 in
-  Codec.Motion.store_block q ~x:8 ~y:16 block;
-  let block' = Codec.Motion.extract_block q ~x:8 ~y:16 in
+  Ref.store_block q ~x:8 ~y:16 (floats block);
+  let block' = Array.make 64 0 in
+  Codec.Motion.extract_block q ~x:8 ~y:16 block';
   check bool "block preserved" true (block = block')
 
 (* --- Encoder / Decoder ------------------------------------------------ *)
@@ -836,39 +1026,6 @@ let test_golden_digests () =
 
 (* --- Equivalence with the straightforward implementations ------------------ *)
 
-(* The separable transform as first written: each matrix entry read
-   through a closure over the nested cosine table. *)
-let closure_dct matrix_row block =
-  let n = 8 in
-  let tmp = Array.make 64 0. in
-  for y = 0 to n - 1 do
-    for u = 0 to n - 1 do
-      let acc = ref 0. in
-      for x = 0 to n - 1 do
-        acc := !acc +. (matrix_row u x *. block.((y * n) + x))
-      done;
-      tmp.((y * n) + u) <- !acc
-    done
-  done;
-  let out = Array.make 64 0. in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      let acc = ref 0. in
-      for y = 0 to n - 1 do
-        acc := !acc +. (matrix_row v y *. tmp.((y * n) + u))
-      done;
-      out.((v * n) + u) <- !acc
-    done
-  done;
-  out
-
-let cosine =
-  Array.init 8 (fun u ->
-      let alpha = if u = 0 then sqrt (1. /. 8.) else sqrt (2. /. 8.) in
-      Array.init 8 (fun x ->
-          alpha
-          *. cos (((2. *. float_of_int x) +. 1.) *. float_of_int u *. Float.pi /. 16.)))
-
 let same_bits a b =
   Array.for_all2
     (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
@@ -878,9 +1035,180 @@ let prop_dct_matches_closure_transform =
   QCheck2.Test.make ~count:300 ~name:"flat DCT is bit-identical to the closure transform"
     QCheck2.Gen.(array_size (return 64) (float_range (-400.) 400.))
     (fun block ->
-      same_bits (Codec.Dct.forward block) (closure_dct (fun u x -> cosine.(u).(x)) block)
-      && same_bits (Codec.Dct.inverse block)
-           (closure_dct (fun u x -> cosine.(x).(u)) block))
+      same_bits (dct_forward block) (Ref.forward block)
+      && same_bits (dct_inverse block) (Ref.inverse block))
+
+(* Coefficient blocks that are non-zero only inside their top-left
+   [rows] x [cols] corner, with zeros of both signs inside it as well
+   as outside: all-zero, DC-only, sparse and dense blocks. Subnormal
+   entries make products that round to a signed zero, so a sum that
+   started from -0. would show. *)
+let sparse_coeffs_gen =
+  QCheck2.Gen.(
+    let* rows = 0 -- 8 and* cols = 0 -- 8 and* density = oneofl [ 0.1; 0.5; 1. ] in
+    let zero = oneofl [ 0.; -0. ] in
+    let entry i =
+      if i / 8 >= rows || i mod 8 >= cols then zero
+      else
+        let* p = float_bound_inclusive 1. in
+        if p < density then
+          oneof
+            [
+              float_range (-2000.) 2000.;
+              map float_of_int (-300 -- 300);
+              map (fun k -> float_of_int k *. 5e-324) (-3 -- 3);
+            ]
+        else zero
+    in
+    flatten_a (Array.init 64 entry))
+
+let print_floats a =
+  String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
+
+let prop_sparse_inverse_matches_dense =
+  QCheck2.Test.make ~count:1000
+    ~name:"sparse inverse DCT is bit-identical to the dense transform"
+    ~print:print_floats sparse_coeffs_gen
+    (fun coeffs -> same_bits (dct_inverse coeffs) (Ref.inverse coeffs))
+
+(* Halves, their neighbours either side, the 2^52 boundary past which
+   every float is an integer, and arbitrary values. *)
+let rounding_cases_gen =
+  QCheck2.Gen.(
+    let near x = oneofl [ x; Float.pred x; Float.succ x ] in
+    let sign x = oneofl [ x; -.x ] in
+    oneof
+      [
+        (let* k = 0 -- 100_000 in
+         let* x = sign (float_of_int k +. 0.5) in
+         near x);
+        (let* x = sign 4503599627370496. in
+         near x);
+        (let* k = 0 -- 3 in
+         let* x = sign (4503599627370496. -. float_of_int k -. 0.5) in
+         near x);
+        float_range (-1e9) 1e9;
+        float_range (-2.) 2.;
+      ])
+
+let prop_round_matches_float_round =
+  QCheck2.Test.make ~count:2000 ~name:"inline rounding equals Float.round"
+    ~print:(Printf.sprintf "%h") rounding_cases_gen
+    (fun x -> Codec.Quant.round x = int_of_float (Float.round x))
+
+let test_round_edges () =
+  List.iter
+    (fun x ->
+      check int (Printf.sprintf "%h" x) (int_of_float (Float.round x)) (Codec.Quant.round x))
+    [
+      0.; -0.; 0.5; -0.5; Float.pred 0.5; Float.succ (-0.5); 1.5; -1.5; 2.5; -2.5;
+      4503599627370496.; -4503599627370496.; 4503599627370495.5; -4503599627370495.5;
+      Float.pred 4503599627370496.; Float.succ (-4503599627370496.);
+    ]
+
+(* Coefficients at and around the magnitudes where a level leaves 0:
+   0.49 and 0.5 of their step, either sign, one ulp either side, and
+   arbitrary values. *)
+let prop_quantise_matches_division =
+  QCheck2.Test.make ~count:500 ~name:"quantise matches division and Float.round"
+    QCheck2.Gen.(
+      let* qp = 1 -- 31 and* kind = oneofl [ Codec.Quant.Luma; Codec.Quant.Chroma ] in
+      let steps = Ref.steps (Codec.Quant.make ~qp) kind in
+      let* coeffs =
+        flatten_a
+          (Array.init 64 (fun i ->
+               let* f = oneofl [ 0.49; 0.5; 1.5 ] and* sign = oneofl [ 1.; -1. ] in
+               let x = sign *. f *. steps.(i) in
+               oneof [ oneofl [ x; Float.pred x; Float.succ x ]; float_range (-500.) 500. ]))
+      in
+      return (qp, kind, coeffs))
+    (fun (qp, kind, coeffs) ->
+      let q = Codec.Quant.make ~qp in
+      quantise q kind coeffs = Ref.quantise q kind coeffs)
+
+(* 64 block samples: flat ones (where the DC level dominates), noisy
+   ones, and whatever lies in between. *)
+let block_samples_gen =
+  QCheck2.Gen.(
+    let* level = 0 -- 255 and* spread = oneofl [ 0; 2; 16; 255 ] in
+    array_size (return 64)
+      (map (fun d -> max 0 (min 255 (level + d))) (-spread -- spread)))
+
+let kind_gen = QCheck2.Gen.oneofl [ Codec.Quant.Luma; Codec.Quant.Chroma ]
+
+(* The intra candidate is skipped when the inter cost is at most this
+   bound, and ties go to inter: so it is skipped only where its cost
+   could not have won, exactly when the bound never exceeds that
+   cost. *)
+let prop_intra_bound_is_a_lower_bound =
+  QCheck2.Test.make ~count:1000 ~name:"intra skip never skips a winning intra block"
+    QCheck2.Gen.(triple block_samples_gen (1 -- 31) kind_gen)
+    (fun (samples, qp, kind) ->
+      let q = Codec.Quant.make ~qp in
+      let s = Codec.Block_codec.scratch () in
+      let levels = Array.make 64 0 in
+      Codec.Block_codec.code_intra s q kind samples levels;
+      Codec.Block_codec.intra_cost_bound s q kind samples
+      <= 1 + Codec.Coeff.bit_cost levels)
+
+(* The block kernels code and reconstruct exactly as the allocating
+   forms do, whatever the buffers held before. *)
+let prop_block_kernels_match_reference =
+  QCheck2.Test.make ~count:500 ~name:"block kernels match the allocating forms"
+    QCheck2.Gen.(
+      quad block_samples_gen block_samples_gen (1 -- 31) kind_gen)
+    (fun (samples, prediction, qp, kind) ->
+      let q = Codec.Quant.make ~qp in
+      let s = Codec.Block_codec.scratch () in
+      let levels = Array.make 64 7 in
+      Codec.Block_codec.code_intra s q kind samples levels;
+      let intra_ok = levels = Ref.code_intra q kind (floats samples) in
+      let p = Codec.Plane.create ~width:16 ~height:16 in
+      let r = Codec.Plane.create ~width:16 ~height:16 in
+      Codec.Block_codec.reconstruct_intra s q kind levels p ~x:8 ~y:8;
+      Ref.store_block r ~x:8 ~y:8 (Ref.reconstruct_intra q kind levels);
+      let intra_recon_ok = Codec.Plane.equal p r in
+      Codec.Block_codec.code_inter s q kind ~samples ~prediction levels;
+      let inter_ok =
+        levels
+        = Ref.code_inter q kind ~samples:(floats samples) ~prediction:(floats prediction)
+      in
+      Codec.Block_codec.reconstruct_inter s q kind ~prediction levels p ~x:0 ~y:8;
+      Ref.store_block r ~x:0 ~y:8
+        (Ref.reconstruct_inter q kind ~prediction:(floats prediction) levels);
+      intra_ok && intra_recon_ok && inter_ok && Codec.Plane.equal p r)
+
+(* Pictures of every size from 1x1 to 41x41, random bytes. *)
+let raster_gen =
+  QCheck2.Gen.(
+    let* width = 1 -- 41 and* height = 1 -- 41 and* seed = 0 -- 100_000 in
+    let rng = Image.Prng.create ~seed in
+    let img = Image.Raster.create ~width ~height in
+    let data = Image.Raster.data img in
+    Bytes.iteri (fun i _ -> Bytes.set data i (Char.chr (Image.Prng.int rng 256))) data;
+    return img)
+
+let prop_planes_in_place_match_reference =
+  QCheck2.Test.make ~count:300 ~name:"in-place YCbCr planes match padded conversion"
+    ~print:(fun img ->
+      Printf.sprintf "%dx%d" (Image.Raster.width img) (Image.Raster.height img))
+    raster_gen
+    (fun img ->
+      let width = Image.Raster.width img and height = Image.Raster.height img in
+      let f = Codec.Plane.create_ycbcr ~width ~height in
+      (* Stale samples from another picture must not leak through. *)
+      let noise = Image.Raster.create ~width ~height in
+      Image.Raster.fill noise (Image.Pixel.v 250 3 128);
+      Codec.Plane.of_raster_into noise f;
+      Codec.Plane.of_raster_into img f;
+      let r = Ref.of_raster img in
+      let pad p = Ref.pad_to_multiple p 8 in
+      Codec.Plane.equal f.Codec.Plane.y (pad r.Codec.Plane.y)
+      && Codec.Plane.equal f.Codec.Plane.cb (pad r.Codec.Plane.cb)
+      && Codec.Plane.equal f.Codec.Plane.cr (pad r.Codec.Plane.cr)
+      && Image.Raster.equal
+           (Codec.Plane.to_raster ~width ~height f)
+           (Codec.Plane.to_raster r))
 
 (* Edge-clamped reads straight from the plane. *)
 let clamped_halfpel p ~hx ~hy =
@@ -950,6 +1278,11 @@ let print_motion_case c =
   Printf.sprintf "%dx%d block (%d, %d)" c.current.Codec.Plane.width
     c.current.Codec.Plane.height c.bx c.by
 
+let predicted predict =
+  let out = Array.make 64 0 in
+  predict out;
+  out
+
 let bounded_agrees ~bound ~exact got =
   if exact <= bound then got = exact else got > bound
 
@@ -969,17 +1302,14 @@ let prop_bounded_sad_matches_clamped =
       && bounded_agrees ~bound
            ~exact:(clamped_sad ~halfpel:true c.current c.reference ~x ~y v)
            (Codec.Motion.sad_halfpel ~bound c.current extended ~x ~y v)
-      && Codec.Motion.extract_predicted extended ~x ~y v
+      && predicted (Codec.Motion.predict extended ~x ~y v)
          = Array.init 64 (fun i ->
-               float_of_int
-                 (Codec.Plane.get c.reference ~x:(x + (i mod 8) + dx)
-                    ~y:(y + (i / 8) + dy)))
-      && Codec.Motion.extract_predicted_halfpel extended ~x ~y v
+               Codec.Plane.get c.reference ~x:(x + (i mod 8) + dx) ~y:(y + (i / 8) + dy))
+      && predicted (Codec.Motion.predict_halfpel extended ~x ~y v)
          = Array.init 64 (fun i ->
-               float_of_int
-                 (clamped_halfpel c.reference
-                    ~hx:((2 * (x + (i mod 8))) + dx)
-                    ~hy:((2 * (y + (i / 8))) + dy))))
+               clamped_halfpel c.reference
+                 ~hx:((2 * (x + (i mod 8))) + dx)
+                 ~hy:((2 * (y + (i / 8))) + dy)))
 
 (* Every candidate in raster order, keeping the least (SAD, |v|_1);
    the first such wins. *)
@@ -1136,6 +1466,12 @@ let qtests =
       prop_zigzag_roundtrip;
       prop_coeff_roundtrip;
       prop_dct_matches_closure_transform;
+      prop_sparse_inverse_matches_dense;
+      prop_round_matches_float_round;
+      prop_quantise_matches_division;
+      prop_intra_bound_is_a_lower_bound;
+      prop_block_kernels_match_reference;
+      prop_planes_in_place_match_reference;
       prop_bounded_sad_matches_clamped;
       prop_search_matches_brute_force;
       prop_reconstruction_matches_decode;
@@ -1178,6 +1514,7 @@ let () =
           Alcotest.test_case "coarser at higher qp" `Quick test_quant_coarser_at_higher_qp;
           Alcotest.test_case "bounded error" `Quick test_quant_dequant_bounded_error;
           Alcotest.test_case "invalid qp" `Quick test_quant_invalid_qp;
+          Alcotest.test_case "rounding edges" `Quick test_round_edges;
         ] );
       ( "coeff",
         [
