@@ -191,10 +191,41 @@ val size_bytes : t -> int
 val write : t -> path:string -> unit
 (** Raises [Sys_error] like any file write. *)
 
-val parse_payload : string -> (event, string) result
-(** Decodes one frame payload (kind tag, timestamp, fields); rejects
-    unknown tags, malformed fields and trailing bytes. Exposed for the
-    offline verifier, which walks the framing itself. *)
+val max_frame_len : int
+(** Longest payload a frame may declare (65536): [encode] never writes
+    more, and one flipped length byte must not swallow the rest of the
+    journal. *)
+
+(** {2 The walk}
+
+    One bounded walk over the bytes, shared by {!decode},
+    {!decode_partial} and the offline verifier ([lint verify]). It
+    reports every frame with its offset; each consumer decides what a
+    problem means to it. *)
+
+type header_fault =
+  | Bad_magic
+  | Header_cut of Wire.failure  (** field ["version"] or ["header CRC"] *)
+  | Bad_version of int
+  | Header_crc
+
+type frame =
+  | Event of event
+  | Crc_bad  (** the payload's stored CRC disagrees *)
+  | Bad_payload of string
+      (** CRC fine, payload not: unknown kind tag, malformed field,
+          trailing bytes — the decoder's message *)
+  | Cut of Wire.failure
+      (** last frame: the bytes end mid-frame (field ["frame"]) or the
+          length varint is cut or broken (field ["frame length"]) *)
+  | Too_long of int  (** last frame: declared length above {!max_frame_len} *)
+
+val walk :
+  string -> (index:int -> offset:int -> frame -> unit) -> (unit, header_fault) result
+(** [walk data on_frame] checks the 9-byte header, then calls
+    [on_frame] on every frame in order with its index and byte offset,
+    until the bytes run out or a [Cut] / [Too_long] frame ends the
+    walk. Never raises. *)
 
 val decode : string -> (event list, string) result
 (** Strict decode: any framing, CRC or schema problem fails the whole

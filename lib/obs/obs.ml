@@ -21,6 +21,7 @@ module Openmetrics = Openmetrics
 module Timeseries = Timeseries
 module Profile = Profile
 module Journal = Journal
+module Wire = Wire
 module Explain = Explain
 
 let enable () = Control.set true
